@@ -45,7 +45,6 @@ class RunConfig:
     sensitive_feature: int = None
     positive_class: int = 1
     delta: float = None
-    batch: int = 100_000
     seed: int = 0
     samples: int = 100
     features: int = 10
@@ -126,7 +125,6 @@ def build_parser() -> _Parser:
     p.add_argument("--positive-class", type=int, default=1)
     p.add_argument("--delta", type=float, default=None,
                    help="also search the most accurate tree with |discrimination| <= delta")
-    p.add_argument("--batch", type=int, default=100_000)
     p.add_argument("--all-points", action="store_true",
                    help="emit every evaluated point, not only the front")
     p.add_argument("--out", default=None)
@@ -285,7 +283,7 @@ def cmd_pareto(cfg: RunConfig) -> int:
     if cfg.delta is not None:
         winner = batched_constrained_search(
             dataset, cfg.depth, cfg.lam, spec,
-            lambda obj: abs(obj[1]) <= cfg.delta, batch=cfg.batch,
+            lambda obj: abs(obj[1]) <= cfg.delta,
             epsilon=cfg.epsilon, tolerance=cfg.tolerance,
             suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
         if winner is None:

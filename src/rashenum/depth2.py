@@ -2,10 +2,15 @@
 
 Single and pairwise cell statistics are precomputed once per subproblem;
 every depth-two tree's value then follows from cell lookups, without
-recursive dataset splitting. Each tree is produced by exactly one generator
-(keyed by its branching-node count), so no tree is emitted twice.
+recursive dataset splitting. One kernel, ``_subtrees``, computes the depth-1
+subtrees under both sides of a root split, each sub-split once; the optimum
+(``depth2_optimal``) and every generation round (``generate_depth2``) read
+its lists. A tree is one (root, left side, right side) combination, each
+side a leaf or a depth-1 subtree, so no tree is emitted twice.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,22 +121,65 @@ def cell_leaf(counts, cell):
     return max(float(ss) - float(s) * float(s) / n, 0.0), mean, ()
 
 
-def _fix_trivial(pl, al, pr, ar):
-    """Resolve a leaf pair sharing a label: relabel (left first) or reject."""
-    if pl != pr:
-        return pl, pr
-    if al:
-        return al[0], pr
-    if ar:
-        return pl, ar[0]
-    return None
+def _stump(lam, suppress, feature, lsol, rsol):
+    """Depth-1 split from its two leaf solutions: (value, feature, left
+    prediction, right prediction), or None when suppression rejects it.
+
+    Under suppression a leaf pair sharing a label is relabeled to a tied
+    alternative (left first) or, lacking one, rejected.
+    """
+    pl, pr = lsol[1], rsol[1]
+    if suppress and pl == pr:
+        if lsol[2]:
+            pl = lsol[2][0]
+        elif rsol[2]:
+            pr = rsol[2][0]
+        else:
+            return None
+    return lsol[0] + rsol[0] + lam, feature, pl, pr
+
+
+def _stump_tree(stump):
+    return ("split", stump[1], ("leaf", stump[2]), ("leaf", stump[3]))
+
+
+def _roots(counts, features):
+    """(feature, left leaf, right leaf) per feature whose sides are non-empty."""
+    roots = []
+    for i in features:
+        neg, pos = counts.side(i, False), counts.side(i, True)
+        if cell_size(counts, neg) and cell_size(counts, pos):
+            roots.append((i, cell_leaf(counts, neg), cell_leaf(counts, pos)))
+    return roots
+
+
+def _subtrees(counts, lam, features, i, suppress):
+    """Depth-1 subtrees under each side of root i, in ascending feature order.
+
+    Returns (lefts, rights), lists of _stump tuples. Each sub-split costs one
+    quad lookup and two cell_leaf calls; degenerate ones are left out.
+    """
+    lefts, rights = [], []
+    for j in features:
+        if j == i:
+            continue
+        a, b, c, d = counts.quad(i, j)
+        for out, neg, pos in ((lefts, b, a), (rights, d, c)):  # j false left
+            if cell_size(counts, neg) and cell_size(counts, pos):
+                sub = _stump(lam, suppress, j, cell_leaf(counts, neg),
+                             cell_leaf(counts, pos))
+                if sub is not None:
+                    out.append(sub)
+    return lefts, rights
 
 
 def generate_depth2(counts, config, depth, features, lo, hi, suppress):
     """All depth<=2 trees with value in (lo, hi]; lo None means unbounded below.
 
     Returns a list of (value, order_key, entry) where entry is a LeafEntry
-    or TreeEntry; order_key makes emission deterministic.
+    or TreeEntry; order_key makes emission deterministic. A split tree pairs
+    a left and a right side, each its leaf or a depth-1 subtree; each side's
+    tree is built once and shared by every tree using it.
     """
     from .groups import LeafEntry, TreeEntry
 
@@ -141,6 +189,13 @@ def generate_depth2(counts, config, depth, features, lo, hi, suppress):
     def in_range(v):
         return (lo is None or v > lo + tol) and value_le(v, hi, tol)
 
+    def sides(sol, subs):
+        """(value, feature or -1 for the leaf, tree) of one side, ascending;
+        no tree above the bound can use a subtree above it."""
+        return sorted([(sol[0], -1, ("leaf", sol[1]))]
+                      + [(s[0], s[1], _stump_tree(s)) for s in subs
+                         if value_le(s[0], hi, tol)])
+
     items = []
     v0, p0, a0 = cell_leaf(counts, counts.total())
     if in_range(v0):
@@ -148,140 +203,59 @@ def generate_depth2(counts, config, depth, features, lo, hi, suppress):
     if depth < 1:
         return items
 
-    total_n = cell_size(counts, counts.total())
-    live = [i for i in features
-            if 0 < cell_size(counts, counts.side(i, True)) < total_n]
-
-    # one branching node
-    side_sols = {}
-    for i in live:
-        lsol = cell_leaf(counts, counts.side(i, False))
-        rsol = cell_leaf(counts, counts.side(i, True))
-        side_sols[i] = (lsol, rsol)
-        v = lsol[0] + rsol[0] + lam
-        if not in_range(v):
-            continue
-        pl, pr = lsol[1], rsol[1]
-        if suppress:
-            fixed = _fix_trivial(pl, lsol[2], pr, rsol[2])
-            if fixed is None:
-                continue
-            pl, pr = fixed
-        items.append((v, (v, 1, i, -1, -1),
-                      TreeEntry(("split", i, ("leaf", pl), ("leaf", pr)))))
-    if depth < 2:
-        return items
-
-    def sub_split(i, j, left_side):
-        """Split on j inside one side of root i; None if degenerate or rejected."""
-        a, b, c, d = counts.quad(i, j)
-        cells = (a, b) if left_side else (c, d)
-        if cell_size(counts, cells[0]) == 0 or cell_size(counts, cells[1]) == 0:
-            return None
-        sj = cell_leaf(counts, cells[1])  # j unsatisfied goes left
-        sjp = cell_leaf(counts, cells[0])
-        pl, pr = sj[1], sjp[1]
-        if suppress:
-            fixed = _fix_trivial(pl, sj[2], pr, sjp[2])
-            if fixed is None:
-                return None
-            pl, pr = fixed
-        v = sj[0] + sjp[0] + lam
-        return v, ("split", j, ("leaf", pl), ("leaf", pr))
-
-    # two branching nodes, both mirror topologies
-    for i in live:
-        lsol, rsol = side_sols[i]
-        for j in features:
-            if j == i:
-                continue
-            sub = sub_split(i, j, left_side=True)
-            if sub is not None:
-                v = sub[0] + rsol[0] + lam
-                if in_range(v):
-                    items.append((v, (v, 2, i, j, -1),
-                                  TreeEntry(("split", i, sub[1], ("leaf", rsol[1])))))
-            sub = sub_split(i, j, left_side=False)
-            if sub is not None:
-                v = lsol[0] + sub[0] + lam
-                if in_range(v):
-                    items.append((v, (v, 2, i, -1, j),
-                                  TreeEntry(("split", i, ("leaf", lsol[1]), sub[1]))))
-
-    # three branching nodes: per root, bounded sweep over sorted sub-solutions
-    for i in live:
-        lefts, rights = [], []
-        for j in features:
-            if j == i:
-                continue
-            sub = sub_split(i, j, left_side=True)
-            if sub is not None and value_le(sub[0], hi, tol):
-                lefts.append((sub[0], j, sub[1]))
-            sub = sub_split(i, j, left_side=False)
-            if sub is not None and value_le(sub[0], hi, tol):
-                rights.append((sub[0], j, sub[1]))
-        lefts.sort(key=lambda t: (t[0], t[1]))
-        rights.sort(key=lambda t: (t[0], t[1]))
+    for i, lsol, rsol in _roots(counts, features):
+        subs = (_subtrees(counts, lam, features, i, suppress) if depth >= 2
+                else ((), ()))
+        lefts, rights = sides(lsol, subs[0]), sides(rsol, subs[1])
         for lv, jl, ltree in lefts:
             for rv, jr, rtree in rights:
                 v = lv + rv + lam
                 if not value_le(v, hi, tol):
                     break  # rights ascending: no later combination can fit
-                if in_range(v):
-                    items.append((v, (v, 3, i, jl, jr),
-                                  TreeEntry(("split", i, ltree, rtree))))
+                if not in_range(v):
+                    continue
+                tree = ("split", i, ltree, rtree)
+                if jl == jr == -1:  # one split: suppression relabels or drops
+                    stump = _stump(lam, suppress, i, lsol, rsol)
+                    if stump is None:
+                        continue
+                    tree = _stump_tree(stump)
+                items.append((v, (v, 1 + (jl >= 0) + (jr >= 0), i, jl, jr),
+                              TreeEntry(tree)))
     return items
 
 
 def depth2_optimal(counts, config, depth, features):
     """Optimal (value, tree) for a depth<=2 subproblem, straight from counts.
 
-    Ties resolve toward fewer branching nodes, then lower feature indices.
+    Candidates are taken in this order, each replacing the incumbent only
+    when strictly better: the leaf; every one-split tree, by root feature;
+    then per root feature, the tree whose sides are each the side's leaf
+    unless some depth-1 subtree beats it strictly (the lowest such feature
+    among the best).
     """
     lam = config.lam
     v0, p0, _ = cell_leaf(counts, counts.total())
-    best_v, best_tree = v0, ("leaf", p0)
-    if depth < 1:
-        return best_v, best_tree
-
-    total_n = cell_size(counts, counts.total())
-    live = [i for i in features
-            if 0 < cell_size(counts, counts.side(i, True)) < total_n]
-    side_sols = {i: (cell_leaf(counts, counts.side(i, False)),
-                     cell_leaf(counts, counts.side(i, True))) for i in live}
-    for i in live:
-        lsol, rsol = side_sols[i]
+    best_v, best = v0, None
+    roots = _roots(counts, features) if depth >= 1 else []
+    for i, lsol, rsol in roots:
         v = lsol[0] + rsol[0] + lam
         if v < best_v:
-            best_v = v
-            best_tree = ("split", i, ("leaf", lsol[1]), ("leaf", rsol[1]))
-    if depth < 2:
-        return best_v, best_tree
+            best_v, best = v, (i, lsol, rsol)
+    if depth >= 2:
+        for i, lsol, rsol in roots:
+            lefts, rights = _subtrees(counts, lam, features, i, False)
+            # min keeps the first of equal values: the leaf, then low features
+            left = min([lsol, *lefts], key=itemgetter(0))
+            right = min([rsol, *rights], key=itemgetter(0))
+            v = left[0] + right[0] + lam
+            if v < best_v:
+                best_v, best = v, (i, left, right)
+    if best is None:
+        return best_v, ("leaf", p0)
 
-    def best_side(i, left_side):
-        """Best depth-1 subtree for one side of root i: (value, tree)."""
-        base = side_sols[i][0] if left_side else side_sols[i][1]
-        bv, bt = base[0], ("leaf", base[1])
-        for j in features:
-            if j == i:
-                continue
-            a, b, c, d = counts.quad(i, j)
-            cells = (a, b) if left_side else (c, d)
-            if cell_size(counts, cells[0]) == 0 or cell_size(counts, cells[1]) == 0:
-                continue
-            sj = cell_leaf(counts, cells[1])
-            sjp = cell_leaf(counts, cells[0])
-            v = sj[0] + sjp[0] + lam
-            if v < bv:
-                bv = v
-                bt = ("split", j, ("leaf", sj[1]), ("leaf", sjp[1]))
-        return bv, bt
+    def side_tree(s):  # a cell_leaf solution or a _stump tuple
+        return ("leaf", s[1]) if len(s) == 3 else _stump_tree(s)
 
-    for i in live:
-        lv, lt = best_side(i, True)
-        rv, rt = best_side(i, False)
-        v = lv + rv + lam
-        if v < best_v:
-            best_v = v
-            best_tree = ("split", i, lt, rt)
-    return best_v, best_tree
+    i, left, right = best
+    return best_v, ("split", i, side_tree(left), side_tree(right))

@@ -184,18 +184,14 @@ class SearchNode:
     # depth-two mode: bulk generation under a gradually relaxed bound
 
     def _advance_depth2(self):
+        """Emit the next pooled group, generating the next value band when
+        the pool runs dry. The first band ends at the leaf value plus one
+        lambda; each later one closes half the gap to the bound, or all of
+        it once the gap is under a fifth of the bound."""
         eng = self.engine
         tol = eng.tol
-        if self._pool is None:
-            self._counts = eng.solver.counts(self.view)
-            leaf_value = cell_leaf(self._counts, self._counts.total())[0]
-            self._hat = min(leaf_value + eng.config.lam, self.ub)
-            items = generate_depth2(self._counts, eng.config, self.depth,
-                                    eng.features, None, self._hat, eng.suppress)
-            self._pool = sorted(items, key=lambda t: t[1])
-            self._ptr = 0
         while True:
-            if self._ptr < len(self._pool):
+            if self._pool is not None and self._ptr < len(self._pool):
                 v = self._pool[self._ptr][0]
                 entries = []
                 while (self._ptr < len(self._pool)
@@ -204,20 +200,20 @@ class SearchNode:
                     self._ptr += 1
                 self._emit(SolutionGroup(v, entries, self.view))
                 return True
-            if self._hat < self.ub - tol:
-                old = self._hat
-                gap = self.ub - self._hat
-                if gap < 0.2 * self.ub:
-                    self._hat = self.ub
-                else:
-                    self._hat = self._hat + 0.5 * gap
-                items = generate_depth2(self._counts, eng.config, self.depth,
-                                        eng.features, old, self._hat,
-                                        eng.suppress)
-                self._pool = sorted(items, key=lambda t: t[1])
-                self._ptr = 0
-                continue
-            return False
+            lo = self._hat
+            if lo is None:
+                self._counts = eng.solver.counts(self.view)
+                leaf_value = cell_leaf(self._counts, self._counts.total())[0]
+                self._hat = min(leaf_value + eng.config.lam, self.ub)
+            elif lo < self.ub - tol:
+                gap = self.ub - lo
+                self._hat = self.ub if gap < 0.2 * self.ub else lo + 0.5 * gap
+            else:
+                return False
+            items = generate_depth2(self._counts, eng.config, self.depth,
+                                    eng.features, lo, self._hat, eng.suppress)
+            self._pool = sorted(items, key=lambda t: t[1])
+            self._ptr = 0
 
     # recursive mode: leaf helper plus one branch helper per feature
 
@@ -350,6 +346,11 @@ class RashomonEnumeration:
             raise ValueError("depth must be >= 0")
         if epsilon is None and max_trees is None and theta is None:
             raise ValueError("provide at least one of epsilon, max_trees, theta")
+        for name, value in (("epsilon", epsilon), ("theta", theta)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if max_trees is not None and not max_trees >= 1:
+            raise ValueError(f"max_trees must be >= 1, got {max_trees}")
         self.config = ObjectiveConfig(task=task or dataset.task, lam=lam,
                                       equality_tolerance=tolerance)
         self.engine = Engine(dataset, self.config,

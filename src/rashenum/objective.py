@@ -7,6 +7,7 @@ leaves pays exactly N * lambda.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +24,12 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.equality_tolerance is None:
             self.equality_tolerance = DEFAULT_TOLERANCE[self.task]
-        if self.equality_tolerance <= 0:
-            raise ValueError("equality tolerance must be > 0")
+        if not 0 < self.equality_tolerance < math.inf:
+            raise ValueError("equality tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ associative combine step, finalized into objective coordinates. Evaluation
 walks the emitted solution-group DAG bottom-up, deduplicating statistic
 tuples per group, so groups with astronomically many trees but few distinct
 statistics stay cheap. Includes the equality-of-opportunity statistic, a
-Pareto front, and a batched constrained search for the most accurate tree
-meeting a secondary constraint.
+Pareto front, and a group-by-group constrained search for the most accurate
+tree meeting a secondary constraint.
 """
 from __future__ import annotations
 
@@ -235,18 +235,16 @@ class ConstrainedSearchResult:
 
 
 def batched_constrained_search(dataset, depth, lam, spec, constraint,
-                               batch=100_000, epsilon=None,
-                               combo_cap=DEFAULT_COMBO_CAP, **enum_kwargs):
+                               epsilon=None, combo_cap=DEFAULT_COMBO_CAP,
+                               **enum_kwargs):
     """First tree (in primary-objective order) whose finalized secondary
     objective satisfies the constraint; None when the Rashomon set is
     exhausted without a match.
 
-    Enumeration proceeds in batches of roughly `batch` trees; because groups
-    are emitted in non-decreasing primary order, the returned tree is
+    The scan goes group by group and stops at the first match; because
+    groups are emitted in non-decreasing primary order, the returned tree is
     primary-optimal among all satisfying trees within the bound.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     if epsilon is None:
         epsilon = DEFAULT_EPSILON
     enum = RashomonEnumeration(dataset, depth, lam=lam, epsilon=epsilon,

@@ -272,7 +272,7 @@ def test_criterion_08_fairness_search_and_pareto():
         checked += 1
         delta = 0.01
         res = batched_constrained_search(
-            ds, 2, 0.01, spec, lambda obj: abs(obj[1]) <= delta, batch=10)
+            ds, 2, 0.01, spec, lambda obj: abs(obj[1]) <= delta)
         best = None
         points = []
         for loss, leaves, tree in oracle_structures(ds, 2, False):

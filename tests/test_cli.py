@@ -152,6 +152,13 @@ class TestExitCodes:
             main(["solve", "--data", str(data_file), "--bogus"])
         assert exc.value.code == 1
 
+    def test_nan_epsilon_is_usage_error(self, capsys, data_file):
+        code, out, err = run(capsys, ["enumerate", "--data", str(data_file),
+                                      "--depth", "2", "--epsilon", "nan"])
+        assert code == 1
+        assert "epsilon must be finite" in err
+        assert out == ""
+
     def test_bad_powers_is_usage_error(self, capsys, data_file):
         code, _, err = run(capsys, ["find-multiplier", "--data",
                                     str(data_file), "--depth", "1",

@@ -5,7 +5,9 @@ import pytest
 from rashenum import ObjectiveConfig
 from rashenum.depth2 import (cell_leaf, cell_size, compute_counts,
                              depth2_optimal, generate_depth2)
+from rashenum.groups import LeafEntry
 from conftest import random_dataset
+from corpus import strip_predictions
 from oracle import oracle_structures
 
 
@@ -59,6 +61,23 @@ class TestOptimal:
                                      range(ds.num_features))
         assert value == pytest.approx(brute_best(ds, depth, 0.02), abs=1e-12)
 
+    def test_tie_rule_pins_exact_tree(self):
+        """Ties keep the earlier candidate: the leaf, the one-split trees,
+        then per root the side leaves unless a split is strictly better.
+        Fewer branching nodes do not win: a tied 2-split tree rooted at
+        feature 1 exists, yet root 0's 3-split tree comes first."""
+        ds = random_dataset(33, 14, 3)
+        cfg = ObjectiveConfig(lam=0.0)
+        value, tree = depth2_optimal(compute_counts(ds.full_view(), cfg), cfg,
+                                     2, range(ds.num_features))
+        assert value == pytest.approx(4 / 14, abs=1e-12)
+        assert tree == ("split", 0, ("split", 2, ("leaf", 0), ("leaf", 1)),
+                        ("split", 1, ("leaf", 1), ("leaf", 0)))
+        assert ("split", 1, ("split", 2, ("leaf", 0), ("leaf", 1)),
+                ("leaf", 0)) in [
+            t for loss, _, t in oracle_structures(ds, 2, False)
+            if loss == pytest.approx(value, abs=1e-12)]
+
     def test_regression_optimal(self):
         ds = random_dataset(7, 14, 3, task="regression")
         cfg = ObjectiveConfig("regression", lam=0.1)
@@ -67,23 +86,49 @@ class TestOptimal:
         assert value == pytest.approx(brute_best(ds, 2, 0.1), abs=1e-8)
 
 
+def entry_tree(entry):
+    return ("leaf", entry.prediction) if isinstance(entry, LeafEntry) \
+        else entry.tree
+
+
+def check_complete(ds, cfg, hi, suppress):
+    """Generated (tree, value) pairs == the oracle's depth<=2 trees <= hi.
+
+    Regression trees are compared by structure (leaf means are float-fuzzy)
+    and all values within a tolerance far below any gap between them.
+    """
+    shape = strip_predictions if ds.task == "regression" else (lambda t: t)
+    items = generate_depth2(compute_counts(ds.full_view(), cfg), cfg, 2,
+                            range(ds.num_features), None, hi, suppress)
+    got = sorted((shape(entry_tree(e)), v) for v, _, e in items)
+    expect = sorted(
+        (shape(tree), loss + cfg.lam * (leaves - 1))
+        for loss, leaves, tree in oracle_structures(ds, 2, suppress)
+        if loss + cfg.lam * (leaves - 1) <= hi + cfg.equality_tolerance)
+    assert [t for t, _ in got] == [t for t, _ in expect]
+    assert [v for _, v in got] == pytest.approx([v for _, v in expect],
+                                                abs=1e-9)
+
+
 class TestGenerate:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("suppress", [False, True])
     def test_complete_under_bound(self, seed, suppress):
         """Generated set == all depth<=2 trees with value <= bound."""
-        ds = random_dataset(seed + 200, 15, 4)
-        cfg = ObjectiveConfig(lam=0.01)
-        counts = compute_counts(ds.full_view(), cfg)
-        hi = 0.8
-        items = generate_depth2(counts, cfg, 2, range(ds.num_features),
-                                None, hi, suppress)
-        values = sorted(round(v, 9) for v, _, _ in items)
-        expect = sorted(
-            round(loss + 0.01 * (leaves - 1), 9)
-            for loss, leaves, _ in oracle_structures(ds, 2, suppress)
-            if loss + 0.01 * (leaves - 1) <= hi + 1e-9)
-        assert values == expect
+        check_complete(random_dataset(seed + 200, 15, 4),
+                       ObjectiveConfig(lam=0.01), 0.8, suppress)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("task,num_classes,hi", [
+        ("classification", 3, 0.55), ("regression", 2, 12.0)],
+        ids=["3-class", "regression"])
+    def test_complete_under_bound_other_tasks(self, seed, suppress, task,
+                                              num_classes, hi):
+        """As above for regression cells and for 3-class data, where
+        suppression relabels a leaf to a tied alternative class."""
+        check_complete(random_dataset(seed + 200, 15, 4, num_classes, task),
+                       ObjectiveConfig(task, lam=0.01), hi, suppress)
 
     def test_band_generation_is_disjoint_and_exhaustive(self):
         """(lo, hi] bands partition the full generation."""

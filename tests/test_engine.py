@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rashenum import (RashomonEnumeration, count_trees, enumerate_rashomon,
-                      evaluate_cost, materialize, ObjectiveConfig)
+                      evaluate_cost, generate_dataset, materialize,
+                      ObjectiveConfig)
 from rashenum.engine import BranchHelper
 from rashenum.objective import value_le
 from conftest import random_dataset
@@ -95,6 +98,21 @@ class TestEnumerationApi:
     def test_requires_some_stopping_rule(self, tiny_dataset):
         with pytest.raises(ValueError, match="epsilon"):
             RashomonEnumeration(tiny_dataset, 2, lam=0.01)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lam": math.inf, "epsilon": 0.1}, {"lam": math.nan, "epsilon": 0.1},
+        {"epsilon": math.nan}, {"epsilon": math.inf},
+        {"theta": math.nan}, {"theta": math.inf},
+        {"epsilon": 0.1, "max_trees": 0}, {"epsilon": 0.1, "max_trees": -3},
+        {"epsilon": 0.1, "tolerance": math.nan}],
+        ids=["lam-inf", "lam-nan", "epsilon-nan", "epsilon-inf", "theta-nan",
+             "theta-inf", "max_trees-0", "max_trees-neg", "tolerance-nan"])
+    def test_invalid_numbers_rejected(self, kwargs):
+        """NaN/inf bounds once ran forever or yielded nothing; max_trees < 1
+        still emitted a group. Each now fails before any enumeration."""
+        ds = generate_dataset(100, 5, seed=1)
+        with pytest.raises(ValueError):
+            RashomonEnumeration(ds, 2, **{"lam": 0.01, **kwargs})
 
     def test_negative_depth_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):

@@ -157,7 +157,7 @@ class TestConstrainedSearch:
         ds = fairness_dataset()
         spec = eq_opportunity_spec(ds, 0, 1)
         res = batched_constrained_search(ds, 2, 0.01, spec,
-                                         lambda obj: True, batch=5)
+                                         lambda obj: True)
         enum = RashomonEnumeration(ds, 2, lam=0.01, epsilon=0.0)
         assert res.total_cost == pytest.approx(enum.optimal_total)
 
@@ -174,7 +174,7 @@ class TestConstrainedSearch:
         spec = eq_opportunity_spec(ds, 0, 1)
         delta = 0.01
         res = batched_constrained_search(
-            ds, 2, 0.01, spec, lambda obj: abs(obj[1]) <= delta, batch=7)
+            ds, 2, 0.01, spec, lambda obj: abs(obj[1]) <= delta)
         best = None
         for loss, leaves, tree in oracle_structures(ds, 2, False):
             cost = loss + 0.01 * leaves
@@ -186,10 +186,3 @@ class TestConstrainedSearch:
         else:
             assert res.total_cost == pytest.approx(best, abs=1e-9)
             assert abs(res.objective[1]) <= delta
-
-    def test_bad_batch_rejected(self):
-        ds = fairness_dataset()
-        spec = eq_opportunity_spec(ds, 0, 1)
-        with pytest.raises(ValueError):
-            batched_constrained_search(ds, 1, 0.01, spec, lambda o: True,
-                                       batch=0)
