@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 import time
@@ -230,17 +231,20 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 def cmd_find_multiplier(cfg: RunConfig, powers) -> int:
     dataset = _load(cfg)
-    name = cfg.data
+
+    def row(p):
+        res = find_min_multiplier(
+            dataset, cfg.depth, cfg.lam, 10 ** p, tolerance=cfg.tolerance,
+            suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
+        eps = "undefined" if res.epsilon is None else f"{res.epsilon:.10g}"
+        return f"{cfg.data},{10 ** p},{eps},{res.achieved_count}"
+
+    rows = map(row, powers)
+    head = list(itertools.islice(rows, 1))  # bad options raise before output
     with _out_stream(cfg.out) as out:
         print("dataset,target,epsilon,achieved_count", file=out)
-        for p in powers:
-            target = 10 ** p
-            res = find_min_multiplier(
-                dataset, cfg.depth, cfg.lam, target,
-                tolerance=cfg.tolerance,
-                suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
-            eps = "undefined" if res.epsilon is None else f"{res.epsilon:.10g}"
-            print(f"{name},{target},{eps},{res.achieved_count}", file=out)
+        for line in itertools.chain(head, rows):
+            print(line, file=out)
             out.flush()
     return 0
 
@@ -284,7 +288,8 @@ def cmd_pareto(cfg: RunConfig) -> int:
         winner = batched_constrained_search(
             dataset, cfg.depth, cfg.lam, spec,
             lambda obj: abs(obj[1]) <= cfg.delta,
-            epsilon=cfg.epsilon, tolerance=cfg.tolerance,
+            epsilon=cfg.epsilon, max_trees=cfg.max_trees,
+            tolerance=cfg.tolerance,
             suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
         if winner is None:
             _summary(constrained="exhausted")
@@ -314,6 +319,8 @@ def main(argv=None) -> int:
     if args.command == "find-multiplier":
         try:
             powers = [int(t) for t in args.powers.split(",") if t.strip()]
+            if any(p < 0 for p in powers):
+                raise ValueError
         except ValueError:
             print("rashenum: error: bad --powers value", file=sys.stderr)
             return 1

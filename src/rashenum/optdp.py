@@ -1,25 +1,23 @@
-"""Optimal sparse tree solver: bounded DP over (view, depth) subproblems.
+"""Optimal sparse tree solver: exact memoized DP over (view, depth) subproblems.
 
-Subproblem solutions are memoized under the view's member-set fingerprint.
-Depth <= 2 dispatches to the frequency-count fast path. Pruned (bound
-exceeded) results are cached together with the bound they were solved
-under, so a later query with a looser bound re-solves them.
+Subproblem optima are memoized under the view's member-set fingerprint, so
+each subproblem is solved once. Depth <= 2 dispatches to the frequency-count
+fast path. The solver takes no bound; bounds live in the enumerator's search
+nodes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dataset import fingerprint, split
 from .depth2 import compute_counts, depth2_optimal
-from .objective import leaf_cost, value_le
+from .objective import leaf_cost
 
 
 @dataclass
 class OptResult:
     value: float
     tree: tuple
-    complete: bool  # True when value is the exact subproblem optimum
 
 
 class OptimalSolver:
@@ -29,7 +27,7 @@ class OptimalSolver:
         self.features = list(features) if features is not None else list(
             range(dataset.num_features))
         self.use_depth2 = use_depth2
-        self.cache = {}       # key -> (OptResult, solved_bound)
+        self.cache = {}       # key -> OptResult
         self.counts_cache = {}
         self.stats = {"solves": 0, "cache_hits": 0}
 
@@ -41,44 +39,37 @@ class OptimalSolver:
             self.counts_cache[key] = hit
         return hit
 
-    def solve(self, view, depth, upper_bound=math.inf) -> OptResult:
+    def solve(self, view, depth) -> OptResult:
         """Optimal subtree value for (view, depth); value convention: no root lambda."""
-        tol = self.config.equality_tolerance
         key = fingerprint(view, depth)
-        hit = self.cache.get(key)
-        if hit is not None:
-            res, solved_bound = hit
-            if res.complete or value_le(upper_bound, solved_bound, tol):
-                self.stats["cache_hits"] += 1
-                return res
-        res = self._solve(view, depth, upper_bound)
-        self.cache[key] = (res, math.inf if res.complete else upper_bound)
+        res = self.cache.get(key)
+        if res is not None:
+            self.stats["cache_hits"] += 1
+            return res
+        res = self._solve(view, depth)
+        self.cache[key] = res
         return res
 
-    def _solve(self, view, depth, ub):
+    def _solve(self, view, depth):
         self.stats["solves"] += 1
         cfg = self.config
-        tol = cfg.equality_tolerance
         lam = cfg.lam
         if depth <= 2 and self.use_depth2:
             value, tree = depth2_optimal(self.counts(view), cfg, depth, self.features)
-            return OptResult(value, tree, True)
+            return OptResult(value, tree)
         leaf = leaf_cost(view, cfg)
         best_v, best_t = leaf.value, ("leaf", leaf.prediction)
         if depth == 0:
-            return OptResult(best_v, best_t, value_le(best_v, ub, tol))
+            return OptResult(best_v, best_t)
         for f in self.features:
             if view.feature_is_constant(f):
                 continue
-            limit = min(ub, best_v)
             left_view, right_view = split(view, f)
-            lres = self.solve(left_view, depth - 1, limit - lam)
-            if not lres.complete or lres.value + lam >= limit:
+            lres = self.solve(left_view, depth - 1)
+            if lres.value + lam >= best_v:
                 continue
-            rres = self.solve(right_view, depth - 1, limit - lam - lres.value)
-            if not rres.complete:
-                continue
+            rres = self.solve(right_view, depth - 1)
             v = lres.value + rres.value + lam
             if v < best_v:
                 best_v, best_t = v, ("split", f, lres.tree, rres.tree)
-        return OptResult(best_v, best_t, value_le(best_v, ub, tol))
+        return OptResult(best_v, best_t)

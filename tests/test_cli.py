@@ -123,6 +123,22 @@ class TestOtherCommands:
         assert any(line.startswith("front,") for line in lines[1:])
         assert "constrained=" in err
 
+    def test_pareto_delta_searches_capped_set(self, capsys, tmp_path):
+        path = tmp_path / "s40.txt"
+        assert main(["synth", "--samples", "40", "--features", "5",
+                     "--seed", "0", "--out", str(path)]) == 0
+        args = ["--data", str(path), "--depth", "2", "--max-trees", "1"]
+        code, out, _ = run(capsys, ["enumerate", *args,
+                                    "--out-format", "count"])
+        assert code == 0
+        last_cost = json.loads(out.splitlines()[-1])["total_cost"]
+        code, _, err = run(capsys, ["pareto", *args, "--sensitive-feature",
+                                    "0", "--delta", "0.01"])
+        assert code == 0
+        found = err.split("constrained=", 1)[1].strip()
+        assert (found == "exhausted"
+                or json.loads(found)["total_cost"] <= last_cost + 1e-12)
+
     def test_synth_deterministic(self, capsys):
         code, out1, _ = run(capsys, ["synth", "--samples", "20", "--features",
                                      "3", "--seed", "4"])
@@ -164,3 +180,12 @@ class TestExitCodes:
                                     str(data_file), "--depth", "1",
                                     "--powers", "x"])
         assert code == 1
+
+    @pytest.mark.parametrize("bad", [["--lambda", "inf"], ["--powers", "-1"],
+                                     ["--depth", "-1"]])
+    def test_find_multiplier_usage_error_writes_nothing(self, capsys,
+                                                        data_file, bad):
+        code, out, _ = run(capsys, ["find-multiplier", "--data",
+                                    str(data_file), "--depth", "1", *bad])
+        assert code == 1
+        assert out == ""
