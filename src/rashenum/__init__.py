@@ -6,7 +6,8 @@ grouping value-tied solutions into a shared DAG so astronomically large
 sets stay countable and lazily materializable.
 """
 from .analysis import (LofoResult, MultiplierResult, RashomonCurve,
-                       find_min_multiplier, lofo_importance)
+                       find_min_multiplier, find_min_multipliers,
+                       lofo_importance)
 from .dataset import (BinaryDataset, DataError, DataView, binarize_numeric,
                       fingerprint, load_dataset, parse_dataset,
                       serialize_dataset, split)
@@ -41,7 +42,8 @@ __all__ = [
     "TreeEntry", "UndefinedMetricError", "batched_constrained_search",
     "binarize_numeric", "combine", "count_trees", "enumerate_rashomon",
     "eq_opportunity_spec", "evaluate_cost", "evaluate_secondary",
-    "features_used", "find_min_multiplier", "fingerprint", "from_dict",
+    "features_used", "find_min_multiplier", "find_min_multipliers",
+    "fingerprint", "from_dict",
     "generate_dataset", "is_leaf", "leaf", "leaf_cost", "load_dataset",
     "lofo_importance", "make_split", "materialize", "num_leaves",
     "parse_dataset", "parse_tree", "pareto_front", "predict",

@@ -1,15 +1,19 @@
 """Analyses derived from enumerations: minimum multiplier and LOFO importance.
 
-The minimum multiplier is the smallest epsilon whose Rashomon bound admits a
-target number of trees. LOFO (leave-one-feature-out) importance scores a
-feature by how much the sorted objective curve's area grows when the
-feature is banned from splits.
+Each analysis is one pass over one enumeration stream. The minimum
+multiplier is the smallest epsilon whose Rashomon bound admits a target
+number of trees; every target is read off the cumulative counts of one
+stream. LOFO (leave-one-feature-out) importance scores a feature by how
+much the sorted objective curve's area grows when the feature is banned
+from splits; each curve counts the trees of the baseline stream that never
+split on the feature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .engine import DEFAULT_EPSILON, RashomonEnumeration
+from .groups import count_trees
 
 
 @dataclass
@@ -32,17 +36,31 @@ class MultiplierResult:
     last_total: float
 
 
-def _collect_costs(enum: RashomonEnumeration, limit: int):
-    """Per-tree total costs of the first `limit` trees, plus the true cumulative count."""
-    costs = []
-    achieved = 0
-    for emitted in enum.groups():
-        achieved = emitted.cumulative
-        take = min(emitted.count, limit - len(costs))
-        costs.extend([emitted.total_cost] * take)
-        if len(costs) >= limit:
-            break
-    return costs, achieved
+def find_min_multipliers(dataset, depth, lam, targets, **enum_kwargs):
+    """Smallest epsilon whose Rashomon set holds at least each target count.
+
+    One enumeration, capped at the largest target, serves every target: the
+    stream does not depend on its cap, so each target is read off the
+    cumulative counts of its prefix. Results come in the order of targets.
+    """
+    targets = list(targets)
+    if not targets:
+        raise ValueError("targets must not be empty")
+    if min(targets) < 1:
+        raise ValueError("target_count must be >= 1")
+    enum = RashomonEnumeration(dataset, depth, lam=lam, epsilon=DEFAULT_EPSILON,
+                               max_trees=max(targets), **enum_kwargs)
+    emitted = list(enum.groups())
+    results = []
+    for target in targets:
+        last = next((em for em in emitted if em.cumulative >= target),
+                    emitted[-1])
+        epsilon = None
+        if enum.optimal_total != 0:
+            epsilon = max(last.total_cost / enum.optimal_total - 1.0, 0.0)
+        results.append(MultiplierResult(epsilon, last.cumulative,
+                                        enum.optimal_total, last.total_cost))
+    return results
 
 
 def find_min_multiplier(dataset, depth, lam, target_count, **enum_kwargs):
@@ -51,30 +69,30 @@ def find_min_multiplier(dataset, depth, lam, target_count, **enum_kwargs):
     Grouped emission may overshoot the target; the achieved count is
     reported alongside. Undefined (epsilon None) when the optimum costs 0.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
-    enum = RashomonEnumeration(dataset, depth, lam=lam, epsilon=DEFAULT_EPSILON,
-                               max_trees=target_count, **enum_kwargs)
-    last_total = enum.optimal_total
-    achieved = 0
-    for emitted in enum.groups():
-        last_total = emitted.total_cost
-        achieved = emitted.cumulative
-    if enum.optimal_total == 0:
-        return MultiplierResult(None, achieved, enum.optimal_total, last_total)
-    epsilon = max(last_total / enum.optimal_total - 1.0, 0.0)
-    return MultiplierResult(epsilon, achieved, enum.optimal_total, last_total)
+    return find_min_multipliers(dataset, depth, lam, [target_count],
+                                **enum_kwargs)[0]
 
 
 @dataclass
 class LofoResult:
     baseline: RashomonCurve
     curves: dict          # feature -> RashomonCurve (feature excluded)
-    scores: dict          # feature -> area increase (>= 0 up to float noise)
+    scores: dict          # feature -> area increase (>= 0: curves are subsets)
 
     def ranking(self):
         """Features from most to least important (score desc, index asc)."""
         return sorted(self.scores, key=lambda f: (-self.scores[f], f))
+
+
+def _curve(emitted, avoid, length, theta) -> RashomonCurve:
+    """Costs of the first length trees of emitted that never split on avoid,
+    clamped to theta and padded with it."""
+    costs = []
+    for em in emitted:
+        take = min(count_trees(em.group, avoid), length - len(costs))
+        costs.extend([min(em.total_cost, theta)] * take)
+    costs.extend([theta] * (length - len(costs)))
+    return RashomonCurve(costs, theta, length)
 
 
 def lofo_importance(dataset, depth, lam, set_size, features=None,
@@ -82,34 +100,26 @@ def lofo_importance(dataset, depth, lam, set_size, features=None,
     """Leave-one-feature-out importance over the top set_size trees.
 
     Baseline: enumerate the set_size best trees; theta_base is the last
-    tree's cost. Per feature: re-enumerate with the feature excluded under
-    the absolute bound theta_base, padding missing ranks at theta_base.
+    tree's cost. Groups come in order and the last one costs theta_base, so
+    the set with feature f excluded under theta_base is the trees of that
+    same stream that never split on f. Each curve is read off the stream by
+    counting them, and padded at theta_base to the baseline length.
     Score = area(curve without feature) - area(baseline), unit rank spacing.
     """
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
-    base_enum = RashomonEnumeration(dataset, depth, lam=lam,
-                                    epsilon=DEFAULT_EPSILON,
-                                    max_trees=set_size, **enum_kwargs)
-    base_costs, _ = _collect_costs(base_enum, set_size)
-    theta_base = base_costs[-1]
-    length = len(base_costs)
-    baseline = RashomonCurve(base_costs, theta_base, length)
-
-    if features is None:
-        features = range(dataset.num_features)
-    curves, scores = {}, {}
+    features = list(range(dataset.num_features) if features is None
+                    else features)
     for f in features:
         if not 0 <= f < dataset.num_features:
             raise IndexError(f"feature index {f} out of range")
-        enum_f = RashomonEnumeration(dataset, depth, lam=lam, theta=theta_base,
-                                     excluded_features=(f,), **enum_kwargs)
-        costs_f, _ = _collect_costs(enum_f, length)
-        # tolerance admission can exceed theta_base by float noise; clamp so
-        # the padded curve stays non-decreasing
-        costs_f = [min(c, theta_base) for c in costs_f]
-        costs_f.extend([theta_base] * (length - len(costs_f)))
-        curve = RashomonCurve(costs_f, theta_base, length)
-        curves[f] = curve
-        scores[f] = curve.area() - baseline.area()
+    enum = RashomonEnumeration(dataset, depth, lam=lam,
+                               epsilon=DEFAULT_EPSILON,
+                               max_trees=set_size, **enum_kwargs)
+    emitted = list(enum.groups())
+    theta_base = emitted[-1].total_cost
+    length = min(set_size, emitted[-1].cumulative)
+    baseline = _curve(emitted, None, length, theta_base)
+    curves = {f: _curve(emitted, f, length, theta_base) for f in features}
+    scores = {f: curve.area() - baseline.area() for f, curve in curves.items()}
     return LofoResult(baseline, curves, scores)

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 
-from .analysis import find_min_multiplier, lofo_importance
+from .analysis import find_min_multipliers, lofo_importance
 from .dataset import DataError, load_dataset, serialize_dataset
 from .engine import RashomonEnumeration
 from .groups import materialize
 from .objective import ObjectiveConfig
-from .posteval import (ParetoFront, batched_constrained_search,
-                       eq_opportunity_spec, evaluate_secondary)
+from .posteval import ParetoFront, eq_opportunity_spec, evaluate_secondary
 from .synth import generate_dataset
 from .trees import num_leaves, to_dict
 
@@ -161,6 +160,8 @@ def _summary(**kv):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    if cfg.depth < 0:
+        raise ValueError("depth must be >= 0")
     dataset = _load(cfg)
     config = ObjectiveConfig(task=cfg.task, lam=cfg.lam,
                              equality_tolerance=cfg.tolerance)
@@ -231,21 +232,15 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 def cmd_find_multiplier(cfg: RunConfig, powers) -> int:
     dataset = _load(cfg)
-
-    def row(p):
-        res = find_min_multiplier(
-            dataset, cfg.depth, cfg.lam, 10 ** p, tolerance=cfg.tolerance,
-            suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
-        eps = "undefined" if res.epsilon is None else f"{res.epsilon:.10g}"
-        return f"{cfg.data},{10 ** p},{eps},{res.achieved_count}"
-
-    rows = map(row, powers)
-    head = list(itertools.islice(rows, 1))  # bad options raise before output
+    targets = [10 ** p for p in powers]
+    results = find_min_multipliers(
+        dataset, cfg.depth, cfg.lam, targets, tolerance=cfg.tolerance,
+        suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
     with _out_stream(cfg.out) as out:
         print("dataset,target,epsilon,achieved_count", file=out)
-        for line in itertools.chain(head, rows):
-            print(line, file=out)
-            out.flush()
+        for target, res in zip(targets, results):
+            eps = "undefined" if res.epsilon is None else f"{res.epsilon:.10g}"
+            print(f"{cfg.data},{target},{eps},{res.achieved_count}", file=out)
     return 0
 
 
@@ -266,17 +261,23 @@ def cmd_lofo(cfg: RunConfig) -> int:
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
+    if cfg.delta is not None and not 0 <= cfg.delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {cfg.delta}")
     dataset = _load(cfg)
     spec = eq_opportunity_spec(dataset, cfg.sensitive_feature,
                                cfg.positive_class)
     enum = _make_enum(cfg, dataset)
     front = ParetoFront()
     evaluated = []
-    for _, stat, witness in evaluate_secondary(enum.groups(), spec):
+    winner = None  # first record, in primary order, with |disc| <= delta
+    for total, stat, witness in evaluate_secondary(enum.groups(), spec):
         accuracy, disc = spec.finalize(stat)
         front.add((-accuracy, abs(disc)), witness)
         if cfg.all_points:
             evaluated.append((accuracy, disc, num_leaves(witness)))
+        if winner is None and cfg.delta is not None and abs(disc) <= cfg.delta:
+            winner = {"tree": to_dict(witness), "accuracy": accuracy,
+                      "discrimination": disc, "total_cost": total}
     with _out_stream(cfg.out) as out:
         print("kind,accuracy,discrimination,leaves", file=out)
         for p in front.points():
@@ -285,21 +286,8 @@ def cmd_pareto(cfg: RunConfig) -> int:
         for acc, disc, leaves in evaluated:
             print(f"point,{acc:.10g},{disc:.10g},{leaves}", file=out)
     if cfg.delta is not None:
-        winner = batched_constrained_search(
-            dataset, cfg.depth, cfg.lam, spec,
-            lambda obj: abs(obj[1]) <= cfg.delta,
-            epsilon=cfg.epsilon, max_trees=cfg.max_trees,
-            tolerance=cfg.tolerance,
-            suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
-        if winner is None:
-            _summary(constrained="exhausted")
-        else:
-            _summary(constrained=json.dumps(
-                {"tree": to_dict(winner.tree),
-                 "accuracy": winner.objective[0],
-                 "discrimination": winner.objective[1],
-                 "total_cost": winner.total_cost},
-                separators=(",", ":")))
+        _summary(constrained="exhausted" if winner is None else
+                 json.dumps(winner, separators=(",", ":")))
     return 0
 
 
@@ -319,7 +307,7 @@ def main(argv=None) -> int:
     if args.command == "find-multiplier":
         try:
             powers = [int(t) for t in args.powers.split(",") if t.strip()]
-            if any(p < 0 for p in powers):
+            if not powers or any(p < 0 for p in powers):
                 raise ValueError
         except ValueError:
             print("rashenum: error: bad --powers value", file=sys.stderr)

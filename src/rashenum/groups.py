@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import islice
 
+from .trees import features_used
+
 
 class LeafEntry:
     """A single-leaf solution; alternatives are value-tied other labels."""
@@ -47,8 +49,8 @@ class Pair:
         self.right = right
         self.filtered = filtered
 
-    def count(self) -> int:
-        total = count_trees(self.left) * count_trees(self.right)
+    def count(self, avoid=None) -> int:
+        total = count_trees(self.left, avoid) * count_trees(self.right, avoid)
         if self.filtered:
             total -= self._excluded()
         return total
@@ -94,15 +96,15 @@ class SolutionGroup:
         self.value = value
         self.entries = list(entries) if entries else []
         self.view = view
-        self._count = None
+        self._count = {}
 
     def add(self, entry):
         self.entries.append(entry)
-        self._count = None
+        self._count.clear()
 
     def extend(self, entries):
         self.entries.extend(entries)
-        self._count = None
+        self._count.clear()
 
     def leaf_entries(self):
         return [e for e in self.entries if isinstance(e, LeafEntry)]
@@ -123,18 +125,25 @@ class SolutionGroup:
         return f"SolutionGroup(value={self.value}, entries={len(self.entries)})"
 
 
-def count_trees(group: SolutionGroup) -> int:
-    """Exact number of distinct trees in a group (memoized, big ints)."""
-    if group._count is not None:
-        return group._count
+def count_trees(group: SolutionGroup, avoid=None) -> int:
+    """Exact number of distinct trees in a group (memoized, big ints).
+
+    With avoid set, counts only the trees that never split on that feature.
+    """
+    total = group._count.get(avoid)
+    if total is not None:
+        return total
     total = 0
     for entry in group.entries:
-        if isinstance(entry, (LeafEntry, TreeEntry)):
+        if isinstance(entry, LeafEntry):
             total += 1
-        else:
+        elif isinstance(entry, TreeEntry):
+            if avoid is None or avoid not in features_used(entry.tree):
+                total += 1
+        elif entry.feature != avoid:
             for pair in entry.pairs:
-                total += pair.count()
-    group._count = total
+                total += pair.count(avoid)
+    group._count[avoid] = total
     return total
 
 

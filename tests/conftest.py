@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rashenum import BinaryDataset, parse_dataset
+from rashenum import BinaryDataset, RashomonEnumeration, parse_dataset
 
 
 @pytest.fixture
@@ -27,6 +27,21 @@ def xor_dataset() -> BinaryDataset:
 def pure_dataset() -> BinaryDataset:
     """All samples share one label; the optimal tree is a single leaf."""
     return parse_dataset("1 0 1\n1 1 0\n1 1 1\n1 0 0\n")
+
+
+def count_enumerations(monkeypatch, *modules):
+    """Record the keyword arguments of every RashomonEnumeration that the
+    given modules construct."""
+    built = []
+
+    class Counting(RashomonEnumeration):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "RashomonEnumeration", Counting)
+    return built
 
 
 def random_dataset(seed, num_samples, num_features, num_classes=2,

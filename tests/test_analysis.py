@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import rashenum.analysis
 from rashenum import (BinaryDataset, RashomonEnumeration, find_min_multiplier,
-                      lofo_importance, parse_dataset)
-from conftest import random_dataset
+                      find_min_multipliers, generate_dataset, lofo_importance,
+                      parse_dataset)
+from conftest import count_enumerations, random_dataset
 from oracle import oracle_structures
 
 
@@ -50,6 +52,23 @@ class TestFindMinMultiplier:
     def test_bad_target(self, tiny_dataset):
         with pytest.raises(ValueError):
             find_min_multiplier(tiny_dataset, 2, 0.01, 0)
+
+
+class TestFindMinMultipliers:
+    @pytest.mark.parametrize("suppress", [False, True])
+    def test_equals_per_target_calls(self, suppress):
+        ds = random_dataset(1040, 24, 5)
+        targets = [100, 1, 10, 10, 3, 5000]
+        got = find_min_multipliers(ds, 2, 0.01, targets,
+                                   suppress_trivial=suppress)
+        assert got == [find_min_multiplier(ds, 2, 0.01, t,
+                                           suppress_trivial=suppress)
+                       for t in targets]
+
+    def test_bad_targets(self, tiny_dataset):
+        for targets in ([], [3, 0]):
+            with pytest.raises(ValueError):
+                find_min_multipliers(tiny_dataset, 2, 0.01, targets)
 
 
 def separating_dataset():
@@ -104,3 +123,41 @@ class TestLofo:
             lofo_importance(ds, 2, 0.01, 20, features=[9])
         with pytest.raises(ValueError):
             lofo_importance(ds, 2, 0.01, 0)
+
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curves_match_excluded_feature_enumerations(self, seed,
+                                                        suppress):
+        # reference: one enumeration per feature with the feature excluded,
+        # bounded by theta_base, padded to the baseline length
+        ds = generate_dataset(150, 6, seed)
+        res = lofo_importance(ds, 3, 0.01, 300, suppress_trivial=suppress)
+        theta, length = res.baseline.theta, res.baseline.padded_length
+        for f, curve in res.curves.items():
+            enum = RashomonEnumeration(ds, 3, lam=0.01, theta=theta,
+                                       excluded_features=(f,),
+                                       suppress_trivial=suppress)
+            expect = []
+            for em in enum.groups():
+                expect.extend([em.total_cost] * em.count)
+                if len(expect) >= length:
+                    break
+            expect = [min(c, theta) for c in expect[:length]]
+            expect.extend([theta] * (length - len(expect)))
+            assert curve.costs == pytest.approx(expect, abs=1e-9)
+
+
+class TestOneEnumeration:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        return count_enumerations(monkeypatch, rashenum.analysis)
+
+    def test_lofo_builds_one_engine(self, built):
+        lofo_importance(random_dataset(1050, 30, 5), 2, 0.01, 50)
+        assert len(built) == 1
+
+    def test_multipliers_build_one_engine(self, built):
+        find_min_multipliers(random_dataset(1051, 30, 5), 2, 0.01,
+                             [1, 10, 100, 1000])
+        assert len(built) == 1
+        assert built[0]["max_trees"] == 1000

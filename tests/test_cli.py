@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import rashenum.cli
+import rashenum.posteval
 from rashenum.cli import main
+from conftest import count_enumerations
 
 
 @pytest.fixture
@@ -139,6 +142,18 @@ class TestOtherCommands:
         assert (found == "exhausted"
                 or json.loads(found)["total_cost"] <= last_cost + 1e-12)
 
+    def test_pareto_delta_builds_one_engine(self, capsys, data_file,
+                                            monkeypatch):
+        built = count_enumerations(monkeypatch, rashenum.cli,
+                                   rashenum.posteval)
+        code, _, err = run(capsys, ["pareto", "--data", str(data_file),
+                                    "--depth", "2", "--epsilon", "0.3",
+                                    "--sensitive-feature", "0",
+                                    "--delta", "0.05"])
+        assert code == 0
+        assert "constrained=" in err
+        assert len(built) == 1
+
     def test_synth_deterministic(self, capsys):
         code, out1, _ = run(capsys, ["synth", "--samples", "20", "--features",
                                      "3", "--seed", "4"])
@@ -176,10 +191,29 @@ class TestExitCodes:
         assert out == ""
 
     def test_bad_powers_is_usage_error(self, capsys, data_file):
-        code, _, err = run(capsys, ["find-multiplier", "--data",
-                                    str(data_file), "--depth", "1",
-                                    "--powers", "x"])
+        for powers in ("x", ","):
+            code, out, _ = run(capsys, ["find-multiplier", "--data",
+                                        str(data_file), "--depth", "1",
+                                        "--powers", powers])
+            assert code == 1
+            assert out == ""
+
+    def test_negative_solve_depth_is_usage_error(self, capsys, data_file):
+        code, out, err = run(capsys, ["solve", "--data", str(data_file),
+                                      "--depth", "-1"])
         assert code == 1
+        assert "depth must be >= 0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("delta", ["nan", "-1", "inf"])
+    def test_bad_pareto_delta_is_usage_error(self, capsys, data_file, delta):
+        code, out, err = run(capsys, ["pareto", "--data", str(data_file),
+                                      "--depth", "2", "--epsilon", "0.3",
+                                      "--sensitive-feature", "0",
+                                      "--delta", delta])
+        assert code == 1
+        assert "delta must be finite" in err
+        assert out == ""
 
     @pytest.mark.parametrize("bad", [["--lambda", "inf"], ["--powers", "-1"],
                                      ["--depth", "-1"]])

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rashenum import (BranchEntry, LeafEntry, Pair, SolutionGroup, TreeEntry,
-                      count_trees, materialize)
+from rashenum import (BranchEntry, LeafEntry, Pair, RashomonEnumeration,
+                      SolutionGroup, TreeEntry, count_trees, features_used,
+                      generate_dataset, materialize)
 
 
 def group_of(*entries, value=0.0):
@@ -88,3 +90,26 @@ class TestSharing:
         assert len(list(materialize(g, 3))) == 3
         with pytest.raises(ValueError):
             list(materialize(g, -1))
+
+
+class TestAvoidedFeatureCount:
+    def test_branch_on_avoided_feature_counts_zero(self):
+        child = group_of(LeafEntry(0), LeafEntry(1))
+        g = group_of(LeafEntry(0), BranchEntry(2, [Pair(child, child)]),
+                     TreeEntry(("split", 1, ("leaf", 0), ("leaf", 1))))
+        assert [count_trees(g, f) for f in (None, 1, 2, 3)] == [6, 5, 2, 6]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 3),
+           task=st.sampled_from(["classification", "regression"]),
+           suppress=st.booleans())
+    def test_matches_materialized_trees(self, seed, depth, task, suppress):
+        ds = generate_dataset(30, 4, seed, task=task)
+        enum = RashomonEnumeration(ds, depth, lam=0.02, max_trees=300,
+                                   suppress_trivial=suppress)
+        for emitted in enum.groups():
+            trees = list(materialize(emitted.group))
+            for f in range(ds.num_features):
+                expect = sum(f not in features_used(t) for t in trees)
+                assert count_trees(emitted.group, f) == expect
+            assert count_trees(emitted.group) == len(trees)
