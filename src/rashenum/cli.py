@@ -163,7 +163,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.depth < 0:
         raise ValueError("depth must be >= 0")
     dataset = _load(cfg)
-    config = ObjectiveConfig(task=cfg.task, lam=cfg.lam,
+    config = ObjectiveConfig(task=dataset.task, lam=cfg.lam,
                              equality_tolerance=cfg.tolerance)
     from .optdp import OptimalSolver
     from .objective import total_cost
@@ -183,7 +183,7 @@ def _make_enum(cfg: RunConfig, dataset, **extra) -> RashomonEnumeration:
     return RashomonEnumeration(
         dataset, cfg.depth, lam=cfg.lam, epsilon=cfg.epsilon,
         max_trees=cfg.max_trees, tolerance=cfg.tolerance,
-        suppress_trivial=cfg.no_trivial_extensions, task=cfg.task, **extra)
+        suppress_trivial=cfg.no_trivial_extensions, **extra)
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
@@ -235,7 +235,7 @@ def cmd_find_multiplier(cfg: RunConfig, powers) -> int:
     targets = [10 ** p for p in powers]
     results = find_min_multipliers(
         dataset, cfg.depth, cfg.lam, targets, tolerance=cfg.tolerance,
-        suppress_trivial=cfg.no_trivial_extensions, task=cfg.task)
+        suppress_trivial=cfg.no_trivial_extensions)
     with _out_stream(cfg.out) as out:
         print("dataset,target,epsilon,achieved_count", file=out)
         for target, res in zip(targets, results):
@@ -248,8 +248,7 @@ def cmd_lofo(cfg: RunConfig) -> int:
     dataset = _load(cfg)
     result = lofo_importance(dataset, cfg.depth, cfg.lam, cfg.max_trees,
                              tolerance=cfg.tolerance,
-                             suppress_trivial=cfg.no_trivial_extensions,
-                             task=cfg.task)
+                             suppress_trivial=cfg.no_trivial_extensions)
     ranking = result.ranking()
     rank_of = {f: i + 1 for i, f in enumerate(ranking)}
     with _out_stream(cfg.out) as out:
@@ -315,13 +314,14 @@ def main(argv=None) -> int:
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
     try:
+        if cfg.max_trees is not None and cfg.max_trees < 1:
+            raise ValueError(f"--max-trees must be >= 1, got {cfg.max_trees}")
+        if (args.command in ("enumerate", "pareto") and cfg.epsilon is None
+                and cfg.max_trees is None):
+            raise ValueError(f"{args.command} needs --epsilon or --max-trees")
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "enumerate":
-            if cfg.epsilon is None and cfg.max_trees is None:
-                print("rashenum: error: enumerate needs --epsilon or "
-                      "--max-trees", file=sys.stderr)
-                return 1
             return cmd_enumerate(cfg)
         if args.command == "find-multiplier":
             return cmd_find_multiplier(cfg, powers)

@@ -32,7 +32,8 @@ class BinaryDataset:
     """Immutable dataset of binary features plus labels.
 
     task is "classification" (integer labels in [0, num_classes)) or
-    "regression" (real labels).
+    "regression" (real labels). label_mean is the regression label mean,
+    the centre of every regression cell statistic (None for classification).
     """
 
     def __init__(self, columns, labels, task, feature_names=None):
@@ -44,8 +45,10 @@ class BinaryDataset:
             if labels.size and labels.min() < 0:
                 raise DataError("classification labels must be nonnegative")
             self.num_classes = max(2, int(labels.max()) + 1) if labels.size else 2
+            self.label_mean = None
         elif task == "regression":
             labels = np.asarray(labels, dtype=np.float64)
+            self.label_mean = float(labels.mean()) if labels.size else 0.0
         else:
             raise DataError(f"unknown task {task!r}")
         n = len(labels)

@@ -1,8 +1,10 @@
 """Depth-two fast path: frequency counts and 0/1/2/3-branching-node solutions.
 
-Single and pairwise cell statistics are precomputed once per subproblem;
-every depth-two tree's value then follows from cell lookups, without
-recursive dataset splitting. One kernel, ``_subtrees``, computes the depth-1
+Single and pairwise cell statistics (``CellStats``, one channel layout for
+both tasks, after the depth-two solver of MurTree) are precomputed once per
+subproblem; every depth-two tree's value then follows from cell lookups and
+the leaf kernel ``objective.best_leaf``, without recursive dataset
+splitting. One sub-split kernel, ``_subtrees``, computes the depth-1
 subtrees under both sides of a root split, each sub-split once; the optimum
 (``depth2_optimal``) and every generation round (``generate_depth2``) read
 its lists. A tree is one (root, left side, right side) combination, each
@@ -14,18 +16,22 @@ from operator import itemgetter
 
 import numpy as np
 
-from .objective import value_le
+from .objective import (LeafSolution, best_leaf, distinct_leaf_labels,
+                        value_le)
 
 
-class ClassCounts:
-    """Per-class single and pairwise feature counts within a view."""
+class CellStats:
+    """Single and pairwise per-channel feature sums within a view.
 
-    def __init__(self, q0, q1, q2, full_size):
-        self.q0 = q0      # (K,)
-        self.q1 = q1      # (K, F)
-        self.q2 = q2      # (K, F, F)
-        self.full_size = full_size
-        self.task = "classification"
+    A cell is a channel vector laid out as ``objective.view_cell``: class
+    counts, or the count, sum and sum of squares of centred labels.
+    """
+
+    def __init__(self, q0, q1, q2, dataset):
+        self.q0 = q0      # (C,)
+        self.q1 = q1      # (C, F)
+        self.q2 = q2      # (C, F, F)
+        self.dataset = dataset
 
     def total(self):
         return self.q0
@@ -34,122 +40,63 @@ class ClassCounts:
         return self.q1[:, i] if satisfied else self.q0 - self.q1[:, i]
 
     def quad(self, i, j):
-        """Cells ((~i, j), (~i, ~j), (i, j), (i, ~j)) as class-count vectors."""
+        """Cells ((~i, j), (~i, ~j), (i, j), (i, ~j))."""
         fi_fj = self.q2[:, i, j]
         fi = self.q1[:, i]
         fj = self.q1[:, j]
         return (fj - fi_fj, self.q0 - fi - fj + fi_fj, fi_fj, fi - fi_fj)
 
 
-class RegStats:
-    """(count, sum, sum of squares) cell statistics for regression."""
-
-    def __init__(self, n0, s0, ss0, n1, s1, ss1, n2, s2, ss2):
-        self.n0, self.s0, self.ss0 = n0, s0, ss0
-        self.n1, self.s1, self.ss1 = n1, s1, ss1
-        self.n2, self.s2, self.ss2 = n2, s2, ss2
-        self.task = "regression"
-
-    def total(self):
-        return (self.n0, self.s0, self.ss0)
-
-    def side(self, i, satisfied):
-        if satisfied:
-            return (self.n1[i], self.s1[i], self.ss1[i])
-        return (self.n0 - self.n1[i], self.s0 - self.s1[i], self.ss0 - self.ss1[i])
-
-    def quad(self, i, j):
-        nij, sij, ssij = self.n2[i, j], self.s2[i, j], self.ss2[i, j]
-        a = (self.n1[j] - nij, self.s1[j] - sij, self.ss1[j] - ssij)
-        b = (self.n0 - self.n1[i] - self.n1[j] + nij,
-             self.s0 - self.s1[i] - self.s1[j] + sij,
-             self.ss0 - self.ss1[i] - self.ss1[j] + ssij)
-        c = (nij, sij, ssij)
-        d = (self.n1[i] - nij, self.s1[i] - sij, self.ss1[i] - ssij)
-        return a, b, c, d
-
-
-def compute_counts(view, config):
-    """Exact cell statistics for a view (classification counts or regression sums)."""
+def compute_counts(view, config=None):
+    """Cell statistics of a view; ``config`` is not read (the task is the
+    dataset's)."""
     ds = view.dataset
     idx = view.member_indices()
     X = ds.X[idx]
-    if config.task == "classification":
+    if ds.task == "classification":  # channel k: the samples of class k
         y = ds.labels[idx]
-        K, F = ds.num_classes, ds.num_features
-        q0 = np.zeros(K, dtype=np.int64)
-        q1 = np.zeros((K, F), dtype=np.int64)
-        q2 = np.zeros((K, F, F), dtype=np.int64)
-        for k in range(K):
-            Mk = X[y == k].astype(np.int64)
-            q0[k] = Mk.shape[0]
-            if Mk.shape[0]:
-                q1[k] = Mk.sum(axis=0)
-                q2[k] = Mk.T @ Mk
-        return ClassCounts(q0, q1, q2, ds.num_samples)
-    y = ds.labels[idx].astype(np.float64)
+        rows = [X[y == k].astype(np.int64) for k in range(ds.num_classes)]
+        return CellStats(np.array([len(M) for M in rows], dtype=np.int64),
+                         np.array([M.sum(axis=0) for M in rows]),
+                         np.array([M.T @ M for M in rows]), ds)
+    yc = ds.labels[idx] - ds.label_mean   # channels 1, yc, yc^2 per sample
+    W = np.stack((np.ones_like(yc), yc, yc * yc))
     Xf = X.astype(np.float64)
-    Xi = X.astype(np.int64)
-    n0 = int(X.shape[0])
-    s0, ss0 = float(y.sum()), float((y * y).sum())
-    n1 = Xi.sum(axis=0)
-    s1 = Xf.T @ y
-    ss1 = Xf.T @ (y * y)
-    n2 = Xi.T @ Xi
-    s2 = Xf.T @ (Xf * y[:, None])
-    ss2 = Xf.T @ (Xf * (y * y)[:, None])
-    return RegStats(n0, s0, ss0, n1, s1, ss1, n2, s2, ss2)
-
-
-def cell_size(counts, cell) -> int:
-    if counts.task == "classification":
-        return int(cell.sum())
-    return int(cell[0])
-
-
-def cell_leaf(counts, cell):
-    """Best leaf for a cell: (value, prediction, tied alternative predictions)."""
-    if counts.task == "classification":
-        tot = int(cell.sum())
-        best = int(cell.max())
-        winners = [k for k in range(len(cell)) if cell[k] == best]
-        return (tot - best) / counts.full_size, winners[0], tuple(winners[1:])
-    n, s, ss = cell
-    if n == 0:
-        return 0.0, 0.0, ()
-    mean = float(s) / n
-    return max(float(ss) - float(s) * float(s) / n, 0.0), mean, ()
+    q2 = np.stack([Xf.T @ (Xf * w[:, None]) for w in W])
+    return CellStats(W.sum(axis=1), W @ Xf, q2, ds)
 
 
 def _stump(lam, suppress, feature, lsol, rsol):
     """Depth-1 split from its two leaf solutions: (value, feature, left
-    prediction, right prediction), or None when suppression rejects it.
-
-    Under suppression a leaf pair sharing a label is relabeled to a tied
-    alternative (left first) or, lacking one, rejected.
-    """
-    pl, pr = lsol[1], rsol[1]
-    if suppress and pl == pr:
-        if lsol[2]:
-            pl = lsol[2][0]
-        elif rsol[2]:
-            pr = rsol[2][0]
-        else:
+    prediction, right prediction), or None when suppression rejects it."""
+    pl, pr = lsol.prediction, rsol.prediction
+    if suppress:
+        labels = distinct_leaf_labels(pl, lsol.alternatives,
+                                      pr, rsol.alternatives)
+        if labels is None:
             return None
-    return lsol[0] + rsol[0] + lam, feature, pl, pr
+        pl, pr = labels
+    return lsol.value + rsol.value + lam, feature, pl, pr
 
 
 def _stump_tree(stump):
     return ("split", stump[1], ("leaf", stump[2]), ("leaf", stump[3]))
 
 
+def _leaves(ds, neg, pos):
+    """Leaf solutions of a split's two cells, or None when one is empty."""
+    lsol, rsol = best_leaf(ds, neg), best_leaf(ds, pos)
+    return None if lsol is None or rsol is None else (lsol, rsol)
+
+
 def _roots(counts, features):
     """(feature, left leaf, right leaf) per feature whose sides are non-empty."""
     roots = []
     for i in features:
-        neg, pos = counts.side(i, False), counts.side(i, True)
-        if cell_size(counts, neg) and cell_size(counts, pos):
-            roots.append((i, cell_leaf(counts, neg), cell_leaf(counts, pos)))
+        sols = _leaves(counts.dataset, counts.side(i, False),
+                       counts.side(i, True))
+        if sols is not None:
+            roots.append((i, *sols))
     return roots
 
 
@@ -157,7 +104,7 @@ def _subtrees(counts, lam, features, i, suppress):
     """Depth-1 subtrees under each side of root i, in ascending feature order.
 
     Returns (lefts, rights), lists of _stump tuples. Each sub-split costs one
-    quad lookup and two cell_leaf calls; degenerate ones are left out.
+    quad lookup and two leaf-kernel calls; degenerate ones are left out.
     """
     lefts, rights = [], []
     for j in features:
@@ -165,9 +112,9 @@ def _subtrees(counts, lam, features, i, suppress):
             continue
         a, b, c, d = counts.quad(i, j)
         for out, neg, pos in ((lefts, b, a), (rights, d, c)):  # j false left
-            if cell_size(counts, neg) and cell_size(counts, pos):
-                sub = _stump(lam, suppress, j, cell_leaf(counts, neg),
-                             cell_leaf(counts, pos))
+            sols = _leaves(counts.dataset, neg, pos)
+            if sols is not None:
+                sub = _stump(lam, suppress, j, *sols)
                 if sub is not None:
                     out.append(sub)
     return lefts, rights
@@ -192,12 +139,12 @@ def generate_depth2(counts, config, depth, features, lo, hi, suppress):
     def sides(sol, subs):
         """(value, feature or -1 for the leaf, tree) of one side, ascending;
         no tree above the bound can use a subtree above it."""
-        return sorted([(sol[0], -1, ("leaf", sol[1]))]
+        return sorted([(sol.value, -1, ("leaf", sol.prediction))]
                       + [(s[0], s[1], _stump_tree(s)) for s in subs
                          if value_le(s[0], hi, tol)])
 
     items = []
-    v0, p0, a0 = cell_leaf(counts, counts.total())
+    v0, p0, a0 = best_leaf(counts.dataset, counts.total())
     if in_range(v0):
         items.append((v0, (v0, 0, -1, -1, -1), LeafEntry(p0, a0)))
     if depth < 1:
@@ -235,11 +182,11 @@ def depth2_optimal(counts, config, depth, features):
     among the best).
     """
     lam = config.lam
-    v0, p0, _ = cell_leaf(counts, counts.total())
+    v0, p0, _ = best_leaf(counts.dataset, counts.total())
     best_v, best = v0, None
     roots = _roots(counts, features) if depth >= 1 else []
     for i, lsol, rsol in roots:
-        v = lsol[0] + rsol[0] + lam
+        v = lsol.value + rsol.value + lam
         if v < best_v:
             best_v, best = v, (i, lsol, rsol)
     if depth >= 2:
@@ -254,8 +201,9 @@ def depth2_optimal(counts, config, depth, features):
     if best is None:
         return best_v, ("leaf", p0)
 
-    def side_tree(s):  # a cell_leaf solution or a _stump tuple
-        return ("leaf", s[1]) if len(s) == 3 else _stump_tree(s)
+    def side_tree(s):  # a LeafSolution or a _stump tuple
+        return ("leaf", s.prediction) if isinstance(s, LeafSolution) \
+            else _stump_tree(s)
 
     i, left, right = best
     return best_v, ("split", i, side_tree(left), side_tree(right))

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .dataset import fingerprint, split
-from .depth2 import cell_leaf, generate_depth2
+from .depth2 import generate_depth2
 from .groups import BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees
-from .objective import (ObjectiveConfig, leaf_cost, rashomon_bound, total_cost,
-                        value_le, values_equal)
+from .objective import (ObjectiveConfig, best_leaf, leaf_cost, rashomon_bound,
+                        total_cost, value_le, values_equal)
 from .optdp import OptimalSolver
 
 DEFAULT_EPSILON = 1e6
@@ -203,7 +203,7 @@ class SearchNode:
             lo = self._hat
             if lo is None:
                 self._counts = eng.solver.counts(self.view)
-                leaf_value = cell_leaf(self._counts, self._counts.total())[0]
+                leaf_value = best_leaf(eng.dataset, self._counts.total()).value
                 self._hat = min(leaf_value + eng.config.lam, self.ub)
             elif lo < self.ub - tol:
                 gap = self.ub - lo
@@ -221,7 +221,7 @@ class SearchNode:
         if self._branches is not None:
             return
         eng = self.engine
-        sol = leaf_cost(self.view, eng.config)
+        sol = leaf_cost(self.view)
         self._leaf = LeafHelper(sol.value, sol.prediction, sol.alternatives)
         self._branches = []
         if self.depth == 0:
@@ -341,7 +341,7 @@ class RashomonEnumeration:
 
     def __init__(self, dataset, depth, lam=0.01, epsilon=None, max_trees=None,
                  theta=None, suppress_trivial=False, excluded_features=(),
-                 tolerance=None, use_cache=True, use_depth2=True, task=None):
+                 tolerance=None, use_cache=True, use_depth2=True):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if epsilon is None and max_trees is None and theta is None:
@@ -351,7 +351,7 @@ class RashomonEnumeration:
                 raise ValueError(f"{name} must be finite, got {value}")
         if max_trees is not None and not max_trees >= 1:
             raise ValueError(f"max_trees must be >= 1, got {max_trees}")
-        self.config = ObjectiveConfig(task=task or dataset.task, lam=lam,
+        self.config = ObjectiveConfig(task=dataset.task, lam=lam,
                                       equality_tolerance=tolerance)
         self.engine = Engine(dataset, self.config,
                              suppress_trivial=suppress_trivial,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import islice
 
+from .objective import distinct_leaf_labels
 from .trees import features_used
 
 
@@ -37,9 +38,9 @@ class TreeEntry:
 class Pair:
     """One (left group, right group) combination under a branch entry.
 
-    When filtered is set, leaf+leaf combinations with an unavoidable shared
-    label are excluded and avoidable ones are relabeled to a tied
-    alternative (left leaf first, lowest alternative).
+    When filtered is set, leaf+leaf combinations follow the suppression
+    rule ``objective.distinct_leaf_labels``: a shared label is relabeled to
+    a tied alternative (left leaf first) or, lacking one, excluded.
     """
 
     __slots__ = ("left", "right", "filtered")
@@ -56,27 +57,22 @@ class Pair:
         return total
 
     def _excluded(self) -> int:
-        out = 0
-        for le in self.left.leaf_entries():
-            for re in self.right.leaf_entries():
-                if (le.prediction == re.prediction
-                        and not le.alternatives and not re.alternatives):
-                    out += 1
-        return out
+        return sum(distinct_leaf_labels(le.prediction, le.alternatives,
+                                        re.prediction, re.alternatives) is None
+                   for le in self.left.leaf_entries()
+                   for re in self.right.leaf_entries())
 
     def iter_subtrees(self, feature):
-        for ltree, lalts in self.left.iter_trees():
-            for rtree, ralts in self.right.iter_trees():
-                lt, rt = ltree, rtree
-                if (self.filtered and lt[0] == "leaf" and rt[0] == "leaf"
-                        and lt[1] == rt[1]):
-                    if lalts:
-                        lt = ("leaf", lalts[0])
-                    elif ralts:
-                        rt = ("leaf", ralts[0])
-                    else:
+        for lt, lalts in self.left.iter_trees():
+            for rt, ralts in self.right.iter_trees():
+                if self.filtered and lt[0] == "leaf" and rt[0] == "leaf":
+                    labels = distinct_leaf_labels(lt[1], lalts, rt[1], ralts)
+                    if labels is None:
                         continue
-                yield ("split", feature, lt, rt)
+                    yield ("split", feature, ("leaf", labels[0]),
+                           ("leaf", labels[1]))
+                else:
+                    yield ("split", feature, lt, rt)
 
 
 class BranchEntry:

@@ -1,4 +1,8 @@
-"""Objective value arithmetic: leaf costs, branching cost, Rashomon bound.
+"""Objective value arithmetic: the leaf kernel, branching cost, Rashomon bound.
+
+Every leaf value, label and suppression choice is made here: ``best_leaf``
+for views and depth-two cells alike, ``distinct_leaf_labels`` for sibling
+leaves. ``trees.evaluate_cost`` re-scores trees independently of both.
 
 Value convention: a subtree's value covers its loss plus one lambda per
 branching node strictly inside it. Leaves carry no lambda; every combine
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,38 +37,64 @@ class ObjectiveConfig:
             raise ValueError("equality tolerance must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class LeafSolution:
+class LeafSolution(NamedTuple):
     value: float
     prediction: object
     alternatives: tuple = ()  # value-tied alternative predictions (classification)
 
 
-def leaf_cost(view, config: ObjectiveConfig) -> LeafSolution:
-    """Best single-leaf solution for a view.
+def view_cell(view) -> np.ndarray:
+    """A view's cell: its class counts (int64), or for regression
+    ``(n, sum(y - mean), sum((y - mean)^2))`` around the dataset mean."""
+    ds = view.dataset
+    if ds.task == "classification":
+        return np.array([(view.members & mask).bit_count()
+                         for mask in ds.class_masks], dtype=np.int64)
+    yc = ds.labels[view.member_indices()] - ds.label_mean
+    return np.array([yc.size, yc.sum(), (yc * yc).sum()], dtype=np.float64)
+
+
+def best_leaf(dataset, cell):
+    """The leaf kernel: best single leaf for one cell, or None when it is empty.
 
     Classification value is the misclassification count divided by the FULL
-    dataset size; regression value is the sum of squared errors around the
-    view mean.
+    dataset size; the lowest majority label wins, other majority labels are
+    its tied alternatives. Regression value is the SSE ``max(ss - s^2/n, 0)``
+    over labels centred on the dataset mean, so it does not cancel at large
+    label offsets; the prediction is ``mean + s/n``.
     """
-    ds = view.dataset
-    if config.task == "classification":
-        if view.size == 0:
-            return LeafSolution(0.0, 0)
-        counts = [
-            (view.members & ds.class_masks[k]).bit_count()
-            for k in range(ds.num_classes)
-        ]
+    if dataset.task == "classification":
+        counts = cell.tolist()
+        size = sum(counts)
+        if not size:
+            return None
         best = max(counts)
         winners = [k for k, c in enumerate(counts) if c == best]
-        value = (view.size - best) / ds.num_samples
-        return LeafSolution(value, winners[0], tuple(winners[1:]))
-    if view.size == 0:
-        return LeafSolution(0.0, 0.0)
-    y = ds.labels[view.member_indices()]
-    mean = float(y.mean())
-    sse = float(np.sum((y - mean) ** 2))
-    return LeafSolution(max(sse, 0.0), mean)
+        return LeafSolution((size - best) / dataset.num_samples, winners[0],
+                            tuple(winners[1:]))
+    n, s, ss = cell.tolist()
+    if not n:
+        return None
+    return LeafSolution(max(ss - s * s / n, 0.0), dataset.label_mean + s / n)
+
+
+def leaf_cost(view, config=None) -> LeafSolution:
+    """The leaf kernel on a view's cell; ``config`` is not read (the task
+    is the dataset's)."""
+    return best_leaf(view.dataset, view_cell(view))
+
+
+def distinct_leaf_labels(lpred, lalts, rpred, ralts):
+    """Sibling leaf labels under suppression: a shared label moves to the
+    left leaf's first tied alternative, else the right's, else None (the
+    split is rejected)."""
+    if lpred != rpred:
+        return lpred, rpred
+    if lalts:
+        return lalts[0], rpred
+    if ralts:
+        return lpred, ralts[0]
+    return None
 
 
 def combine(left_value: float, right_value: float, lam: float) -> float:

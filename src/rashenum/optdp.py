@@ -22,6 +22,9 @@ class OptResult:
 
 class OptimalSolver:
     def __init__(self, dataset, config, features=None, use_depth2=True):
+        if config.task != dataset.task:
+            raise ValueError(f"objective task {config.task!r} does not match "
+                             f"the {dataset.task} dataset")
         self.dataset = dataset
         self.config = config
         self.features = list(features) if features is not None else list(
@@ -35,7 +38,7 @@ class OptimalSolver:
         key = view.members
         hit = self.counts_cache.get(key)
         if hit is None:
-            hit = compute_counts(view, self.config)
+            hit = compute_counts(view)
             self.counts_cache[key] = hit
         return hit
 
@@ -57,7 +60,7 @@ class OptimalSolver:
         if depth <= 2 and self.use_depth2:
             value, tree = depth2_optimal(self.counts(view), cfg, depth, self.features)
             return OptResult(value, tree)
-        leaf = leaf_cost(view, cfg)
+        leaf = leaf_cost(view)
         best_v, best_t = leaf.value, ("leaf", leaf.prediction)
         if depth == 0:
             return OptResult(best_v, best_t)

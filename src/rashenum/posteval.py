@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .dataset import BinaryDataset, split
 from .engine import DEFAULT_EPSILON, RashomonEnumeration
 from .groups import LeafEntry, TreeEntry
+from .objective import distinct_leaf_labels
 from .trees import num_leaves
 
 DEFAULT_COMBO_CAP = 4096
@@ -107,18 +108,17 @@ def _combine_pair(feature, pair, lrec, rrec, spec):
     lstat, lwit = lrec.stat, lrec.witness
     rstat, rwit = rrec.stat, rrec.witness
     if (pair.filtered and lrec.leaf_info is not None
-            and rrec.leaf_info is not None
-            and lrec.leaf_info[0] == rrec.leaf_info[0]):
-        if lrec.leaf_info[1]:
-            new_pred = lrec.leaf_info[1][0]
-            lwit = ("leaf", new_pred)
-            lstat = tuple(spec.leaf_stat(pair.left.view, new_pred))
-        elif rrec.leaf_info[1]:
-            new_pred = rrec.leaf_info[1][0]
-            rwit = ("leaf", new_pred)
-            rstat = tuple(spec.leaf_stat(pair.right.view, new_pred))
-        else:
+            and rrec.leaf_info is not None):
+        labels = distinct_leaf_labels(*lrec.leaf_info, *rrec.leaf_info)
+        if labels is None:
             return None
+        lpred, rpred = labels
+        if lpred != lrec.leaf_info[0]:
+            lwit = ("leaf", lpred)
+            lstat = tuple(spec.leaf_stat(pair.left.view, lpred))
+        if rpred != rrec.leaf_info[0]:
+            rwit = ("leaf", rpred)
+            rstat = tuple(spec.leaf_stat(pair.right.view, rpred))
     return _Record(tuple(spec.combine_stat(lstat, rstat)),
                    ("split", feature, lwit, rwit))
 

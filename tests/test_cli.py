@@ -215,6 +215,21 @@ class TestExitCodes:
         assert "delta must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["enumerate"], "enumerate needs --epsilon or --max-trees"),
+        (["pareto", "--sensitive-feature", "0"],
+         "pareto needs --epsilon or --max-trees"),
+        (["lofo", "--max-trees", "0"], "--max-trees must be >= 1"),
+        (["enumerate", "--max-trees", "0"], "--max-trees must be >= 1")],
+        ids=["enumerate-no-stop", "pareto-no-stop", "lofo-max-trees",
+             "enumerate-max-trees"])
+    def test_usage_error_names_flags(self, capsys, data_file, argv, message):
+        code, out, err = run(capsys, [argv[0], "--data", str(data_file),
+                                      "--depth", "2", *argv[1:]])
+        assert code == 1
+        assert message in err
+        assert out == ""
+
     @pytest.mark.parametrize("bad", [["--lambda", "inf"], ["--powers", "-1"],
                                      ["--depth", "-1"]])
     def test_find_multiplier_usage_error_writes_nothing(self, capsys,

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from rashenum import ObjectiveConfig
-from rashenum.depth2 import (cell_leaf, cell_size, compute_counts,
-                             depth2_optimal, generate_depth2)
+from rashenum import ObjectiveConfig, leaf_cost, split
+from rashenum.depth2 import compute_counts, depth2_optimal, generate_depth2
+from rashenum.objective import best_leaf, view_cell
 from rashenum.groups import LeafEntry
 from conftest import random_dataset
 from corpus import strip_predictions
@@ -19,35 +20,45 @@ def brute_best(ds, depth, lam):
 class TestCounts:
     @pytest.mark.parametrize("seed", range(5))
     def test_classification_cells_sum_to_total(self, seed):
+        """Every quad cell equals the class counts of the view it stands
+        for, exactly, and the four cells partition the samples."""
         ds = random_dataset(seed, 20, 4, num_classes=3)
         counts = compute_counts(ds.full_view(), ObjectiveConfig())
         for i in range(ds.num_features):
             for j in range(ds.num_features):
                 cells = counts.quad(i, j)
-                assert sum(cell_size(counts, c) for c in cells) == 20
+                assert sum(int(c.sum()) for c in cells) == 20
+                not_i, has_i = split(ds.full_view(), i)
+                views = (split(not_i, j)[1], split(not_i, j)[0],
+                         split(has_i, j)[1], split(has_i, j)[0])
+                for cell, view in zip(cells, views):
+                    assert cell.dtype == np.int64
+                    assert cell.tolist() == view_cell(view).tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_side_counts_match_direct_split(self, seed):
-        from rashenum import split, leaf_cost
         ds = random_dataset(seed + 50, 24, 4)
-        cfg = ObjectiveConfig()
-        counts = compute_counts(ds.full_view(), cfg)
+        counts = compute_counts(ds.full_view(), ObjectiveConfig())
+        assert counts.total().tolist() == view_cell(ds.full_view()).tolist()
         for f in range(ds.num_features):
-            left, right = split(ds.full_view(), f)
-            lv, lp, _ = cell_leaf(counts, counts.side(f, False))
-            assert lv == pytest.approx(leaf_cost(left, cfg).value, abs=1e-12)
-            rv, rp, _ = cell_leaf(counts, counts.side(f, True))
-            assert rv == pytest.approx(leaf_cost(right, cfg).value, abs=1e-12)
+            for satisfied, view in zip((False, True),
+                                       split(ds.full_view(), f)):
+                cell = counts.side(f, satisfied)
+                assert cell.tolist() == view_cell(view).tolist()
+                assert best_leaf(ds, cell) == leaf_cost(view)
 
     def test_regression_cells(self):
-        from rashenum import split, leaf_cost
         ds = random_dataset(11, 18, 3, task="regression")
-        cfg = ObjectiveConfig("regression")
-        counts = compute_counts(ds.full_view(), cfg)
+        counts = compute_counts(ds.full_view(), ObjectiveConfig("regression"))
         for f in range(ds.num_features):
-            left, _ = split(ds.full_view(), f)
-            lv, _, _ = cell_leaf(counts, counts.side(f, False))
-            assert lv == pytest.approx(leaf_cost(left, cfg).value, abs=1e-9)
+            for satisfied, view in zip((False, True),
+                                       split(ds.full_view(), f)):
+                cell = counts.side(f, satisfied)
+                assert cell == pytest.approx(view_cell(view), abs=1e-9)
+                got, want = best_leaf(ds, cell), leaf_cost(view)
+                assert got.value == pytest.approx(want.value, abs=1e-9)
+                assert got.prediction == pytest.approx(want.prediction,
+                                                       abs=1e-9)
 
 
 class TestOptimal:

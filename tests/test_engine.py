@@ -1,14 +1,16 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rashenum import (RashomonEnumeration, count_trees, enumerate_rashomon,
-                      evaluate_cost, generate_dataset, materialize,
-                      ObjectiveConfig)
+from rashenum import (BinaryDataset, RashomonEnumeration, count_trees,
+                      enumerate_rashomon, evaluate_cost, generate_dataset,
+                      materialize, ObjectiveConfig)
 from rashenum.engine import BranchHelper
-from rashenum.objective import value_le
+from rashenum.objective import DEFAULT_TOLERANCE, value_le
 from conftest import random_dataset
+from corpus import strip_predictions
 
 
 class StaticNode:
@@ -214,3 +216,49 @@ class TestEngineEquivalences:
         assert len(kept) <= len(full)
         assert any(has_trivial(eval(t)) for t in full - kept) or full == kept
         assert not any(has_trivial(eval(t)) for t in kept)
+
+
+def shifted_regression(seed, offset):
+    base = generate_dataset(120, 7, seed, task="regression")
+    return BinaryDataset(base.columns, base.labels + offset, "regression")
+
+
+@functools.lru_cache(maxsize=None)
+def regression_groups(seed, depth, offset):
+    """(value, count, sorted tree structures) per group of a shifted run."""
+    enum = RashomonEnumeration(shifted_regression(seed, offset), depth,
+                               lam=0.01, max_trees=1000)
+    return [(em.value, em.count,
+             sorted(map(repr, map(strip_predictions,
+                                  materialize(em.group)))))
+            for em in enum.groups()]
+
+
+class TestLabelScale:
+    """Regression cells are centred on the dataset's label mean, so a shift
+    of every label changes no value beyond rounding. Uncentred sums of
+    squares lost whole units to cancellation at offset 1e6."""
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, -1e6])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_label_shift_keeps_groups(self, seed, depth, offset):
+        base = regression_groups(seed, depth, 0.0)
+        shifted = regression_groups(seed, depth, offset)
+        assert [g[1:] for g in shifted] == [g[1:] for g in base]
+        assert [g[0] for g in shifted] == pytest.approx(
+            [g[0] for g in base], abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_large_offset_rescores(self, seed):
+        """Each group's first trees re-score to the group total within the
+        default regression tolerance. The tie window is narrowed to 1e-9 so
+        that only the value arithmetic is measured: the default window lets
+        tied values drift by up to its width per level on its own."""
+        ds = shifted_regression(seed, 1e6)
+        enum = RashomonEnumeration(ds, 3, lam=0.01, max_trees=2000,
+                                   tolerance=1e-9)
+        for em in enum.groups():
+            for tree in materialize(em.group, 3):
+                assert abs(evaluate_cost(tree, ds, enum.config)
+                           - em.total_cost) <= DEFAULT_TOLERANCE["regression"]

@@ -23,6 +23,16 @@ class TestOptimalSolver:
         res = solver.solve(xor_dataset.full_view(), 2)
         assert total_cost(res.value, 0.01) == pytest.approx(0.04)
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_task_mismatch_rejected(self, task):
+        """The task is the dataset's: a regression objective over class
+        labels, or the reverse, is refused before any solve."""
+        ds = generate_dataset(30, 4, seed=2, task=task)
+        other = {"classification": "regression",
+                 "regression": "classification"}[task]
+        with pytest.raises(ValueError, match="task"):
+            OptimalSolver(ds, ObjectiveConfig(other))
+
     def test_depth_zero_majority_leaf(self, tiny_dataset):
         solver = OptimalSolver(tiny_dataset, ObjectiveConfig(lam=0.01))
         res = solver.solve(tiny_dataset.full_view(), 0)
