@@ -48,6 +48,8 @@ class BinaryDataset:
             self.label_mean = None
         elif task == "regression":
             labels = np.asarray(labels, dtype=np.float64)
+            if not np.isfinite(labels).all():
+                raise DataError("regression labels must be finite")
             self.label_mean = float(labels.mean()) if labels.size else 0.0
         else:
             raise DataError(f"unknown task {task!r}")

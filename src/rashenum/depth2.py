@@ -1,14 +1,15 @@
-"""Depth-two fast path: frequency counts and 0/1/2/3-branching-node solutions.
+"""Depth-two fast path: frequency counts, root side lists, the optimum.
 
 Single and pairwise cell statistics (``CellStats``, one channel layout for
 both tasks, after the depth-two solver of MurTree) are precomputed once per
-subproblem; every depth-two tree's value then follows from cell lookups and
-the leaf kernel ``objective.best_leaf``, without recursive dataset
-splitting. One sub-split kernel, ``_subtrees``, computes the depth-1
-subtrees under both sides of a root split, each sub-split once; the optimum
-(``depth2_optimal``) and every generation round (``generate_depth2``) read
-its lists. A tree is one (root, left side, right side) combination, each
-side a leaf or a depth-1 subtree, so no tree is emitted twice.
+subproblem; every depth <= 1 solution under a root split then follows from
+cell lookups and the leaf kernel ``objective.best_leaf``, without recursive
+dataset splitting. One sub-split kernel, ``_subtrees``, computes the
+depth-1 subtrees under both sides of a root split, each sub-split once; the
+optimum (``depth2_optimal``) and the search node's side lists
+(``generate_depth2``) read its lists. A depth <= 2 tree is one (root, left
+side, right side) combination, each side a leaf or a depth-1 subtree, so no
+tree is emitted twice.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .objective import (LeafSolution, best_leaf, distinct_leaf_labels,
-                        value_le)
+from .groups import LeafEntry, TreeEntry
+from .objective import LeafSolution, best_leaf, distinct_leaf_labels
 
 
 class CellStats:
@@ -79,10 +80,6 @@ def _stump(lam, suppress, feature, lsol, rsol):
     return lsol.value + rsol.value + lam, feature, pl, pr
 
 
-def _stump_tree(stump):
-    return ("split", stump[1], ("leaf", stump[2]), ("leaf", stump[3]))
-
-
 def _leaves(ds, neg, pos):
     """Leaf solutions of a split's two cells, or None when one is empty."""
     lsol, rsol = best_leaf(ds, neg), best_leaf(ds, pos)
@@ -120,56 +117,40 @@ def _subtrees(counts, lam, features, i, suppress):
     return lefts, rights
 
 
-def generate_depth2(counts, config, depth, features, lo, hi, suppress):
-    """All depth<=2 trees with value in (lo, hi]; lo None means unbounded below.
+def generate_depth2(counts, config, depth, features, suppress):
+    """Both side lists of every root split of a depth <= 2 subproblem.
 
-    Returns a list of (value, order_key, entry) where entry is a LeafEntry
-    or TreeEntry; order_key makes emission deterministic. A split tree pairs
-    a left and a right side, each its leaf or a depth-1 subtree; each side's
-    tree is built once and shared by every tree using it.
+    Returns (feature, lefts, rights) per root feature whose sides are both
+    non-empty. A side list is complete and sorted by (value, feature or -1
+    for the leaf): the side's ``LeafSolution`` and, at depth 2, its depth-1
+    subtrees as ``_stump`` tuples. The search node merges the two lists
+    lazily, so no tree is built here.
     """
-    from .groups import LeafEntry, TreeEntry
-
-    lam = config.lam
-    tol = config.equality_tolerance
-
-    def in_range(v):
-        return (lo is None or v > lo + tol) and value_le(v, hi, tol)
-
-    def sides(sol, subs):
-        """(value, feature or -1 for the leaf, tree) of one side, ascending;
-        no tree above the bound can use a subtree above it."""
-        return sorted([(sol.value, -1, ("leaf", sol.prediction))]
-                      + [(s[0], s[1], _stump_tree(s)) for s in subs
-                         if value_le(s[0], hi, tol)])
-
-    items = []
-    v0, p0, a0 = best_leaf(counts.dataset, counts.total())
-    if in_range(v0):
-        items.append((v0, (v0, 0, -1, -1, -1), LeafEntry(p0, a0)))
     if depth < 1:
-        return items
-
+        return []
+    roots = []
     for i, lsol, rsol in _roots(counts, features):
-        subs = (_subtrees(counts, lam, features, i, suppress) if depth >= 2
-                else ((), ()))
-        lefts, rights = sides(lsol, subs[0]), sides(rsol, subs[1])
-        for lv, jl, ltree in lefts:
-            for rv, jr, rtree in rights:
-                v = lv + rv + lam
-                if not value_le(v, hi, tol):
-                    break  # rights ascending: no later combination can fit
-                if not in_range(v):
-                    continue
-                tree = ("split", i, ltree, rtree)
-                if jl == jr == -1:  # one split: suppression relabels or drops
-                    stump = _stump(lam, suppress, i, lsol, rsol)
-                    if stump is None:
-                        continue
-                    tree = _stump_tree(stump)
-                items.append((v, (v, 1 + (jl >= 0) + (jr >= 0), i, jl, jr),
-                              TreeEntry(tree)))
-    return items
+        lefts, rights = (_subtrees(counts, config.lam, features, i, suppress)
+                         if depth >= 2 else ((), ()))
+        # stable sort: the leaf, then subtrees by feature, among equal values
+        roots.append((i, sorted([lsol, *lefts], key=itemgetter(0)),
+                      sorted([rsol, *rights], key=itemgetter(0))))
+    return roots
+
+
+def side_tree(item):
+    """The tree of one side-list item: a LeafSolution or a _stump tuple."""
+    if isinstance(item, LeafSolution):
+        return ("leaf", item.prediction)
+    return ("split", item[1], ("leaf", item[2]), ("leaf", item[3]))
+
+
+def side_entry(item):
+    """The solution-group entry of one side-list item; a leaf keeps its
+    tied alternatives for the parent pair's suppression filter."""
+    if isinstance(item, LeafSolution):
+        return LeafEntry(item.prediction, item.alternatives)
+    return TreeEntry(side_tree(item))
 
 
 def depth2_optimal(counts, config, depth, features):
@@ -200,10 +181,5 @@ def depth2_optimal(counts, config, depth, features):
                 best_v, best = v, (i, left, right)
     if best is None:
         return best_v, ("leaf", p0)
-
-    def side_tree(s):  # a LeafSolution or a _stump tuple
-        return ("leaf", s.prediction) if isinstance(s, LeafSolution) \
-            else _stump_tree(s)
-
     i, left, right = best
     return best_v, ("split", i, side_tree(left), side_tree(right))

@@ -1,11 +1,14 @@
 """Best-first Rashomon set enumeration over a search tree of subproblems.
 
 Each search node owns a sorted list of solution groups for one (sample
-subset, depth budget) subproblem. Deep nodes merge their children's sorted
-lists lazily (a heap frontier over index pairs); shallow nodes (depth <= 2)
-generate solutions in bulk from frequency counts under a gradually relaxed
-bound. Nodes are shared through a cache keyed by the sample subset, carrying
-the maximum upper bound seen among sharers.
+subset, depth budget) subproblem and builds it one way: a leaf helper plus
+one branch helper per root feature, each merging its two children's sorted
+lists lazily (a heap frontier over index pairs). A deeper node's children
+are search nodes; a depth <= 2 node's children are its root's two side
+lists, read once off the frequency-count table (``depth2.generate_depth2``),
+so its two- and three-split trees are pairs of side groups. Nodes are
+shared through a cache keyed by the sample subset, carrying the maximum
+upper bound seen among sharers.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dataset import fingerprint, split
-from .depth2 import generate_depth2
+from .depth2 import generate_depth2, side_entry
 from .groups import BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees
 from .objective import (ObjectiveConfig, best_leaf, leaf_cost, rashomon_bound,
                         total_cost, value_le, values_equal)
@@ -42,11 +45,12 @@ class BranchHelper:
     The candidates queue holds (value, lindex, rindex) frontier entries;
     visited pairs are never combined twice. Pairs that could not be combined
     because a child was exhausted under its bound are parked in ``blocked``
-    and re-probed when the bound rises.
+    and re-probed when the bound rises, unless both children are ``fixed``
+    lists that no bound extends.
     """
 
     def __init__(self, feature, left_opt, right_opt, make_left, make_right,
-                 lam, tol):
+                 lam, tol, fixed=False):
         self.feature = feature
         self.left_opt = left_opt
         self.right_opt = right_opt
@@ -54,6 +58,7 @@ class BranchHelper:
         self._make_right = make_right
         self.lam = lam
         self.tol = tol
+        self.fixed = fixed
         self.left_node = None
         self.right_node = None
         self.cq = [(left_opt + right_opt + lam, 0, 0)]
@@ -92,12 +97,11 @@ class BranchHelper:
                 if (li, ri) in self.visited:
                     continue
                 gl = self.get_group(0, li)
-                if gl is None:
-                    self.blocked.add((li, ri))
-                    continue
-                gr = self.get_group(1, ri)
+                gr = None if gl is None else self.get_group(1, ri)
                 if gr is None:
-                    self.blocked.add((li, ri))
+                    # past the end of a fixed list the pair never combines
+                    (self.visited if self.fixed else self.blocked).add(
+                        (li, ri))
                     continue
                 self.visited.add((li, ri))
                 v = gl.value + gr.value + self.lam
@@ -125,6 +129,30 @@ class BranchHelper:
             heapq.heappush(self.cq, (gl.value + gr.value + self.lam, li, ri))
 
 
+class SideNode:
+    """One side of a depth <= 2 node's root split: its complete sorted
+    depth <= 1 side list (``generate_depth2``) grouped by value.
+
+    Built when a branch helper first opens the side. Its list is fixed, so
+    raising its bound changes nothing.
+    """
+
+    def __init__(self, view, items, tol):
+        self.ssl = []
+        for item in items:
+            entry = side_entry(item)
+            if self.ssl and values_equal(self.ssl[-1].value, item[0], tol):
+                self.ssl[-1].add(entry)
+            else:
+                self.ssl.append(SolutionGroup(item[0], [entry], view))
+
+    def get_nth(self, index):
+        return self.ssl[index] if index < len(self.ssl) else None
+
+    def raise_ub(self, new_ub):
+        pass
+
+
 class SearchNode:
     """Per-subproblem enumeration state: sorted solution list plus helpers."""
 
@@ -134,13 +162,9 @@ class SearchNode:
         self.depth = depth
         self.ub = ub
         self.ssl = []
-        self.mode = "depth2" if depth <= 2 and engine.use_depth2 else "recursive"
         self._leaf = None
         self._branches = None
-        self._pool = None
-        self._ptr = 0
-        self._hat = None
-        self._counts = None
+        self._pool = None   # generate_depth2's side lists (count-table nodes)
         engine.stats["nodes_created"] += 1
 
     # -- public ----------------------------------------------------------
@@ -161,9 +185,8 @@ class SearchNode:
         if new_ub <= self.ub:
             return
         self.ub = new_ub
-        if self.mode == "recursive" and self._branches is not None:
-            for h in self._branches:
-                h.on_parent_raised(self.ub)
+        for h in self._branches or ():
+            h.on_parent_raised(self.ub)
 
     # -- internals -------------------------------------------------------
 
@@ -176,75 +199,56 @@ class SearchNode:
                 raise AssertionError("out-of-order group emission")
             self.ssl.append(group)
 
-    def _advance(self):
-        if self.mode == "depth2":
-            return self._advance_depth2()
-        return self._advance_recursive()
+    # where a node's helpers come from: (leaf solution, [(feature, left
+    # optimum, right optimum, make left child, make right child)])
 
-    # depth-two mode: bulk generation under a gradually relaxed bound
-
-    def _advance_depth2(self):
-        """Emit the next pooled group, generating the next value band when
-        the pool runs dry. The first band ends at the leaf value plus one
-        lambda; each later one closes half the gap to the bound, or all of
-        it once the gap is under a fifth of the bound."""
+    def _table_roots(self):
+        """Depth <= 2: the leaf and the root side lists, off the count table."""
         eng = self.engine
-        tol = eng.tol
-        while True:
-            if self._pool is not None and self._ptr < len(self._pool):
-                v = self._pool[self._ptr][0]
-                entries = []
-                while (self._ptr < len(self._pool)
-                       and values_equal(self._pool[self._ptr][0], v, tol)):
-                    entries.append(self._pool[self._ptr][2])
-                    self._ptr += 1
-                self._emit(SolutionGroup(v, entries, self.view))
-                return True
-            lo = self._hat
-            if lo is None:
-                self._counts = eng.solver.counts(self.view)
-                leaf_value = best_leaf(eng.dataset, self._counts.total()).value
-                self._hat = min(leaf_value + eng.config.lam, self.ub)
-            elif lo < self.ub - tol:
-                gap = self.ub - lo
-                self._hat = self.ub if gap < 0.2 * self.ub else lo + 0.5 * gap
-            else:
-                return False
-            items = generate_depth2(self._counts, eng.config, self.depth,
-                                    eng.features, lo, self._hat, eng.suppress)
-            self._pool = sorted(items, key=lambda t: t[1])
-            self._ptr = 0
+        counts = eng.solver.counts(self.view)
+        self._pool = generate_depth2(counts, eng.config, self.depth,
+                                     eng.features, eng.suppress)
+        view, tol = self.view, eng.tol
 
-    # recursive mode: leaf helper plus one branch helper per feature
+        def side(f, items, index):
+            return lambda: SideNode(split(view, f)[index], items, tol)
+
+        return (best_leaf(eng.dataset, counts.total()),
+                [(f, lefts[0][0], rights[0][0], side(f, lefts, 0),
+                  side(f, rights, 1)) for f, lefts, rights in self._pool])
+
+    def _split_roots(self):
+        """Any depth: the leaf and one split per feature, children solved."""
+        eng, depth = self.engine, self.depth - 1
+        lam = eng.config.lam
+        roots = []
+        if depth < 0:
+            return leaf_cost(self.view), roots
+
+        def make(child_view, sibling_opt):
+            return lambda: eng.node(child_view, depth,
+                                    self.ub - sibling_opt - lam)
+
+        for f in eng.features:
+            if self.view.feature_is_constant(f):
+                continue
+            left_view, right_view = split(self.view, f)
+            lopt = eng.solver.solve(left_view, depth).value
+            ropt = eng.solver.solve(right_view, depth).value
+            roots.append((f, lopt, ropt, make(left_view, ropt),
+                          make(right_view, lopt)))
+        return leaf_cost(self.view), roots
 
     def _ensure_helpers(self):
         if self._branches is not None:
             return
         eng = self.engine
-        sol = leaf_cost(self.view)
-        self._leaf = LeafHelper(sol.value, sol.prediction, sol.alternatives)
-        self._branches = []
-        if self.depth == 0:
-            return
-        lam = eng.config.lam
-        for f in eng.features:
-            if self.view.feature_is_constant(f):
-                continue
-            left_view, right_view = split(self.view, f)
-            lopt = eng.solver.solve(left_view, self.depth - 1)
-            ropt = eng.solver.solve(right_view, self.depth - 1)
-            node = self
-
-            def make(child_view, sibling_opt, depth=self.depth - 1):
-                return eng.node(child_view, depth,
-                                node.ub - sibling_opt - lam)
-
-            h = BranchHelper(
-                f, lopt.value, ropt.value,
-                make_left=lambda lv=left_view, s=ropt.value: make(lv, s),
-                make_right=lambda rv=right_view, s=lopt.value: make(rv, s),
-                lam=lam, tol=eng.tol)
-            self._branches.append(h)
+        table = self.depth <= 2 and eng.use_depth2
+        sol, roots = self._table_roots() if table else self._split_roots()
+        self._leaf = LeafHelper(*sol)
+        self._branches = [BranchHelper(f, lopt, ropt, make_left, make_right,
+                                       eng.config.lam, eng.tol, table)
+                          for f, lopt, ropt, make_left, make_right in roots]
 
     def _select_helper(self):
         tol = self.engine.tol
@@ -257,7 +261,7 @@ class SearchNode:
                 best, best_v = h, v
         return best, best_v
 
-    def _advance_recursive(self):
+    def _advance(self):
         self._ensure_helpers()
         helper, value = self._select_helper()
         if helper is None or not value_le(value, self.ub, self.engine.tol):

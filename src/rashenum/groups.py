@@ -1,7 +1,7 @@
 """Grouped solution structure: all subtree solutions sharing one value.
 
 A SolutionGroup holds entries that are either a bare leaf, a fully built
-subtree (from the depth-two generators), or a branch entry referencing
+one-split subtree (from a depth-two side list), or a branch entry referencing
 pairs of child groups. References form a DAG, so tree counts are products
 and sums over the structure, kept in arbitrary precision.
 """
@@ -27,7 +27,8 @@ class LeafEntry:
 
 
 class TreeEntry:
-    """A concrete subtree solution (produced by the depth-two generators)."""
+    """A concrete subtree solution (a depth-1 subtree of a depth-two side
+    list)."""
 
     __slots__ = ("tree",)
 

@@ -124,7 +124,7 @@ def test_criterion_03_depth2_crosscheck():
         from rashenum.dataset import DataView
         view = DataView(ds, members)
         depth = int(rng.integers(1, 3))
-        # large bounds force gradual-relaxation regeneration cycles
+        # large bounds make the nodes merge far down their side lists
         ub = float(rng.choice([0.05, 0.4, 5.0]))
         cfg = dict(task=task, lam=0.01, equality_tolerance=1e-9)
 
@@ -142,8 +142,8 @@ def test_criterion_03_depth2_crosscheck():
         if groups_of(True) != groups_of(False):
             errors.append((checked, ns, nf, depth, ub, task))
         checked += 1
-    finish(3, "depth-two generators equal generic recursion on 500 random "
-              "subproblems (with forced bound relaxations)", errors)
+    finish(3, "depth-two side-list nodes equal generic recursion on 500 "
+              "random subproblems (small to large bounds)", errors)
 
 
 def test_criterion_04_value_faithfulness(corpus_runs):

@@ -178,6 +178,19 @@ class TestExitCodes:
                                     "--depth", "2"])
         assert code == 2
 
+    def test_non_finite_regression_label_is_data_error(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0.5 0 1\nnan 1 0\n1.5 1 1\n-0.5 0 0\n")
+        for command, extra in (("enumerate", ["--max-trees", "10"]),
+                               ("solve", []), ("lofo", [])):
+            code, out, err = run(capsys, [command, "--data", str(path),
+                                          "--task", "regression",
+                                          "--depth", "2", *extra])
+            assert code == 2, command
+            assert "labels must be finite" in err
+            assert out == ""
+
     def test_unknown_flag_is_usage_error(self, capsys, data_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--data", str(data_file), "--bogus"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rashenum import (DataError, binarize_numeric, fingerprint,
+from rashenum import (BinaryDataset, DataError, binarize_numeric, fingerprint,
                       load_dataset, parse_dataset, serialize_dataset, split)
 
 
@@ -41,6 +41,14 @@ class TestParsing:
         ds = parse_dataset("1.5 0 1\n-0.25 1 0\n", task="regression")
         assert ds.task == "regression"
         assert ds.labels.dtype == np.float64
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_regression_label_rejected(self, label):
+        with pytest.raises(DataError, match="must be finite"):
+            parse_dataset(f"1.5 0 1\n{label} 1 0\n", task="regression")
+        with pytest.raises(DataError, match="must be finite"):
+            BinaryDataset.from_arrays([[0, 1], [1, 0]], [1.5, float(label)],
+                                      task="regression")
 
     def test_duplicate_and_complement_columns_dropped(self):
         # col1 duplicates col0; col2 is col0's complement

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rashenum import ObjectiveConfig, leaf_cost, split
-from rashenum.depth2 import compute_counts, depth2_optimal, generate_depth2
+from rashenum import Engine, ObjectiveConfig, leaf_cost, materialize, split
+from rashenum.depth2 import compute_counts, depth2_optimal
 from rashenum.objective import best_leaf, view_cell
-from rashenum.groups import LeafEntry
 from conftest import random_dataset
 from corpus import strip_predictions
 from oracle import oracle_structures
@@ -97,21 +96,26 @@ class TestOptimal:
         assert value == pytest.approx(brute_best(ds, 2, 0.1), abs=1e-8)
 
 
-def entry_tree(entry):
-    return ("leaf", entry.prediction) if isinstance(entry, LeafEntry) \
-        else entry.tree
+def drain(node):
+    """(tree, group value) of every tree a search node emits, in order."""
+    out, index = [], 0
+    while (group := node.get_nth(index)) is not None:
+        out += [(tree, group.value) for tree in materialize(group)]
+        index += 1
+    return out
 
 
 def check_complete(ds, cfg, hi, suppress):
-    """Generated (tree, value) pairs == the oracle's depth<=2 trees <= hi.
+    """A depth-2 search node's (tree, value) pairs under the bound hi ==
+    the oracle's depth<=2 trees <= hi.
 
     Regression trees are compared by structure (leaf means are float-fuzzy)
     and all values within a tolerance far below any gap between them.
     """
     shape = strip_predictions if ds.task == "regression" else (lambda t: t)
-    items = generate_depth2(compute_counts(ds.full_view(), cfg), cfg, 2,
-                            range(ds.num_features), None, hi, suppress)
-    got = sorted((shape(entry_tree(e)), v) for v, _, e in items)
+    node = Engine(ds, cfg, suppress_trivial=suppress).node(ds.full_view(), 2,
+                                                           hi)
+    got = sorted((shape(tree), v) for tree, v in drain(node))
     expect = sorted(
         (shape(tree), loss + cfg.lam * (leaves - 1))
         for loss, leaves, tree in oracle_structures(ds, 2, suppress)
@@ -125,7 +129,7 @@ class TestGenerate:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("suppress", [False, True])
     def test_complete_under_bound(self, seed, suppress):
-        """Generated set == all depth<=2 trees with value <= bound."""
+        """Emitted set == all depth<=2 trees with value <= bound."""
         check_complete(random_dataset(seed + 200, 15, 4),
                        ObjectiveConfig(lam=0.01), 0.8, suppress)
 
@@ -141,26 +145,7 @@ class TestGenerate:
         check_complete(random_dataset(seed + 200, 15, 4, num_classes, task),
                        ObjectiveConfig(task, lam=0.01), hi, suppress)
 
-    def test_band_generation_is_disjoint_and_exhaustive(self):
-        """(lo, hi] bands partition the full generation."""
-        ds = random_dataset(301, 15, 4)
-        cfg = ObjectiveConfig(lam=0.01)
-        counts = compute_counts(ds.full_view(), cfg)
-        full = generate_depth2(counts, cfg, 2, range(ds.num_features),
-                               None, 1.0, False)
-        lo_band = generate_depth2(counts, cfg, 2, range(ds.num_features),
-                                  None, 0.3, False)
-        hi_band = generate_depth2(counts, cfg, 2, range(ds.num_features),
-                                  0.3, 1.0, False)
-        def keys(items):
-            return sorted(k for _, k, _ in items)
-        assert keys(lo_band) + keys(hi_band) == keys(full) or \
-            sorted(keys(lo_band) + keys(hi_band)) == sorted(keys(full))
-
     def test_depth_zero_only_leaf(self):
         ds = random_dataset(5, 10, 3)
-        cfg = ObjectiveConfig()
-        counts = compute_counts(ds.full_view(), cfg)
-        items = generate_depth2(counts, cfg, 0, range(ds.num_features),
-                                None, math.inf, False)
-        assert len(items) == 1
+        node = Engine(ds, ObjectiveConfig()).node(ds.full_view(), 0, math.inf)
+        assert [tree[0] for tree, _ in drain(node)] == ["leaf"]

@@ -4,9 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rashenum import (BinaryDataset, RashomonEnumeration, count_trees,
-                      enumerate_rashomon, evaluate_cost, generate_dataset,
-                      materialize, ObjectiveConfig)
+from rashenum import (BinaryDataset, BranchEntry, RashomonEnumeration,
+                      TreeEntry, count_trees, enumerate_rashomon,
+                      evaluate_cost, generate_dataset, materialize, num_leaves,
+                      ObjectiveConfig)
+from rashenum import engine as engine_module
 from rashenum.engine import BranchHelper
 from rashenum.objective import DEFAULT_TOLERANCE, value_le
 from conftest import random_dataset
@@ -216,6 +218,61 @@ class TestEngineEquivalences:
         assert len(kept) <= len(full)
         assert any(has_trivial(eval(t)) for t in full - kept) or full == kept
         assert not any(has_trivial(eval(t)) for t in kept)
+
+
+def held_groups(engine):
+    """Every solution group reachable from the engine's cached nodes."""
+    seen = set()
+    stack = [g for node in engine.node_cache.values() for g in node.ssl]
+    while stack:
+        group = stack.pop()
+        if id(group) in seen:
+            continue
+        seen.add(id(group))
+        yield group
+        for entry in group.entries:
+            if isinstance(entry, BranchEntry):
+                for pair in entry.pairs:
+                    stack += [pair.left, pair.right]
+
+
+class TestDepthTwoNodes:
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_side_lists_read_once_and_merged(self, monkeypatch, depth):
+        """A depth <= 2 node reads its side lists off the count table once
+        and merges them lazily: no node calls generate_depth2 twice, and no
+        held TreeEntry has more than one split."""
+        calls = []
+        original = engine_module.generate_depth2
+
+        def counting(counts, config, node_depth, *args):
+            calls.append((id(counts), node_depth))
+            return original(counts, config, node_depth, *args)
+
+        monkeypatch.setattr(engine_module, "generate_depth2", counting)
+        enum = RashomonEnumeration(generate_dataset(120, 7, 3), depth,
+                                   lam=0.01, max_trees=3000)
+        assert list(enum.groups())
+        assert calls and len(calls) == len(set(calls))
+        splits = [num_leaves(entry.tree) - 1
+                  for group in held_groups(enum.engine)
+                  for entry in group.entries if isinstance(entry, TreeEntry)]
+        assert splits and max(splits) == 1
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_side_list_ends_never_block(self, depth):
+        """A pair past the end of a fixed side list can never combine, so a
+        depth <= 2 node's helpers mark it visited and block nothing."""
+        enum = RashomonEnumeration(generate_dataset(120, 7, 3), depth,
+                                   lam=0.01, max_trees=3000)
+        assert list(enum.groups())
+        helpers = [h for node in enum.engine.node_cache.values()
+                   if node.depth <= 2 for h in node._branches or ()]
+        assert helpers and not any(h.blocked for h in helpers)
+        past_end = [(l, r) for h in helpers if h.left_node is not None
+                    and h.right_node is not None for l, r in h.visited
+                    if l >= len(h.left_node.ssl) or r >= len(h.right_node.ssl)]
+        assert past_end
 
 
 def shifted_regression(seed, offset):
