@@ -21,11 +21,18 @@ class DataError(ValueError):
 
 
 def _bits_from_bools(flags) -> int:
-    mask = 0
-    for i, v in enumerate(flags):
-        if v:
-            mask |= 1 << i
-    return mask
+    """The bitset whose bit i is set when ``flags[i]`` is truthy."""
+    packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _bool_matrix(columns, n) -> np.ndarray:
+    """The (n, len(columns)) boolean matrix of bitset columns."""
+    width = (n + 7) // 8
+    raw = b"".join(col.to_bytes(width, "little") for col in columns)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
+        len(columns), width), axis=1, count=n, bitorder="little")
+    return bits.T.astype(bool, order="C")
 
 
 class BinaryDataset:
@@ -71,10 +78,7 @@ class BinaryDataset:
             else [f"f{j}" for j in range(self.num_features)]
         )
         # dense matrix for the frequency-count fast path
-        self.X = np.zeros((n, self.num_features), dtype=bool)
-        for j, col in enumerate(self.columns):
-            for i in _bit_indices(col):
-                self.X[i, j] = True
+        self.X = _bool_matrix(self.columns, n)
         if task == "classification":
             self.class_masks = [
                 _bits_from_bools(labels == k) for k in range(self.num_classes)
@@ -108,13 +112,6 @@ class BinaryDataset:
             f"BinaryDataset({self.num_samples} samples, "
             f"{self.num_features} features, {self.task})"
         )
-
-
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -201,9 +198,8 @@ def parse_dataset(text, fmt="murtree", task="classification", label_col=None):
     for ln, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"line {ln + 1}: expected {width} features, got {len(row)}")
-    cols = []
-    for j in range(width):
-        cols.append(_bits_from_bools([rows[i][j] for i in range(n)]))
+    flags = np.array(rows, dtype=bool)
+    cols = [_bits_from_bools(flags[:, j]) for j in range(width)]
     full_mask = (1 << n) - 1
     cols, names = _dedup_columns(cols, names, full_mask)
     if not cols:

@@ -75,12 +75,14 @@ def _loss(tree, view: DataView, dataset, config):
 def to_dict(tree):
     if is_leaf(tree):
         pred = tree[1]
-        if isinstance(pred, (np.integer,)):
-            pred = int(pred)
-        elif isinstance(pred, (np.floating,)):
-            pred = float(pred)
+        if isinstance(pred, np.generic):  # numpy scalars as Python numbers
+            pred = pred.item()
         return {"predict": pred}
-    return {"feature": tree[1], "left": to_dict(tree[2]), "right": to_dict(tree[3])}
+    feature = tree[1]
+    if isinstance(feature, np.integer):
+        feature = int(feature)
+    return {"feature": feature, "left": to_dict(tree[2]),
+            "right": to_dict(tree[3])}
 
 
 def from_dict(d):

@@ -3,11 +3,18 @@
 Everything here is written from first principles against the objective
 definition (loss plus a per-leaf penalty) and deliberately shares no logic
 with the package's solver or enumeration engine: trees are enumerated by
-plain exhaustive recursion over sample subsets.
+plain exhaustive recursion over sample subsets. The one exception is
+``reference_depth2_optimal``: the scalar sweep that ``depth2_optimal`` once
+was, kept to pin the array-wide solver's floats and tie rule exactly.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
+
+from rashenum.depth2 import _roots, _subtrees, side_tree
+from rashenum.objective import best_leaf
 
 
 def _subset_indices(dataset, members):
@@ -165,3 +172,33 @@ def oracle_pareto(points):
         seen.add(coords)
         front.append((coords, payload))
     return sorted(front, key=lambda cp: cp[0])
+
+
+def reference_depth2_optimal(counts, config, depth, features):
+    """``depth2_optimal`` as a scalar sweep: one ``best_leaf`` call per cell.
+
+    Candidates in order, each replacing the incumbent only when strictly
+    better: the leaf; every one-split tree by root feature; then per root
+    feature, each side's leaf unless a depth-1 subtree beats it strictly.
+    """
+    lam = config.lam
+    v0, p0, _ = best_leaf(counts.dataset, counts.total())
+    best_v, best = v0, None
+    roots = _roots(counts, features) if depth >= 1 else []
+    for i, lsol, rsol in roots:
+        v = lsol.value + rsol.value + lam
+        if v < best_v:
+            best_v, best = v, (i, lsol, rsol)
+    if depth >= 2:
+        for i, lsol, rsol in roots:
+            lefts, rights = _subtrees(counts, lam, features, i, False)
+            # min keeps the first of equal values: the leaf, then low features
+            left = min([lsol, *lefts], key=itemgetter(0))
+            right = min([rsol, *rights], key=itemgetter(0))
+            v = left[0] + right[0] + lam
+            if v < best_v:
+                best_v, best = v, (i, left, right)
+    if best is None:
+        return best_v, ("leaf", p0)
+    i, left, right = best
+    return best_v, ("split", i, side_tree(left), side_tree(right))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,18 @@ class TestSolve:
         record = json.loads(out)
         assert record["num_leaves"] == 1
         assert record["total_cost"] == pytest.approx(0.05)
+
+    def test_module_entry_point_matches_main(self, capsys, data_file):
+        """``python -m rashenum`` runs the same CLI as ``main``."""
+        argv = ["solve", "--data", str(data_file), "--depth", "3"]
+        code, out, _ = run(capsys, argv)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "rashenum", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert code == done.returncode == 0
+        assert done.stdout == out
 
 
 class TestEnumerate:

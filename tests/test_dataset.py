@@ -63,6 +63,50 @@ class TestParsing:
         assert list(again.labels) == list(tiny_dataset.labels)
 
 
+def loop_bitset(flags):
+    """A bitset built one sample at a time."""
+    mask = 0
+    for i, v in enumerate(flags):
+        if v:
+            mask |= 1 << i
+    return mask
+
+
+def loop_matrix(columns, n):
+    """The boolean sample x feature matrix built one bit at a time."""
+    X = np.zeros((n, len(columns)), dtype=bool)
+    for j, col in enumerate(columns):
+        for i in range(n):
+            X[i, j] = bool(col >> i & 1)
+    return X
+
+
+class TestBitLayout:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+    def test_matches_loop_versions(self, n, seed):
+        """Packed columns, class masks and the dense matrix equal their
+        bit-by-bit versions, across byte boundaries."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 2, size=(n, 6))
+        X[:, 0], X[:, 1] = 0, 1
+        y = rng.integers(0, 3, size=n)
+        ds = BinaryDataset.from_arrays(X, y)
+        assert ds.columns == tuple(loop_bitset(X[:, j]) for j in range(6))
+        assert all(type(col) is int for col in ds.columns)
+        assert ds.class_masks == [loop_bitset(y == k)
+                                  for k in range(ds.num_classes)]
+        assert ds.X.dtype == bool and ds.X.flags.c_contiguous
+        assert (ds.X == loop_matrix(ds.columns, n)).all()
+        assert (ds.X == (X == 1)).all()
+        text = "".join(f"{label} {' '.join(map(str, row))}\n"
+                       for label, row in zip(y, X))
+        parsed = parse_dataset(text)
+        kept = [int(name[1:]) for name in parsed.feature_names]
+        assert parsed.columns == tuple(loop_bitset(X[:, j]) for j in kept)
+        assert (parsed.X == loop_matrix(parsed.columns, n)).all()
+
+
 class TestViewsAndSplits:
     def test_full_view_covers_all(self, tiny_dataset):
         view = tiny_dataset.full_view()

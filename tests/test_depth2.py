@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rashenum import Engine, ObjectiveConfig, leaf_cost, materialize, split
+from rashenum import (BinaryDataset, Engine, ObjectiveConfig,
+                      generate_dataset, leaf_cost, materialize, split)
 from rashenum.depth2 import compute_counts, depth2_optimal
 from rashenum.objective import best_leaf, view_cell
 from conftest import random_dataset
 from corpus import strip_predictions
-from oracle import oracle_structures
+from oracle import oracle_structures, reference_depth2_optimal
 
 
 def brute_best(ds, depth, lam):
@@ -45,6 +48,24 @@ class TestCounts:
                 cell = counts.side(f, satisfied)
                 assert cell.tolist() == view_cell(view).tolist()
                 assert best_leaf(ds, cell) == leaf_cost(view)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_classification_counts_equal_integer_products(self, seed,
+                                                          num_classes):
+        """The float64 products cast back equal int64 ``M.T @ M`` per class,
+        on the full view and on both sides of a split."""
+        ds = random_dataset(seed + 70, 90, 7, num_classes)
+        for view in (ds.full_view(), *split(ds.full_view(), seed)):
+            counts = compute_counts(view)
+            idx = view.member_indices()
+            rows = [ds.X[idx][ds.labels[idx] == k].astype(np.int64)
+                    for k in range(num_classes)]
+            for got, want in ((counts.q0, [len(M) for M in rows]),
+                              (counts.q1, [M.sum(axis=0) for M in rows]),
+                              (counts.q2, [M.T @ M for M in rows])):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, np.array(want, dtype=np.int64))
 
     def test_regression_cells(self):
         ds = random_dataset(11, 18, 3, task="regression")
@@ -94,6 +115,72 @@ class TestOptimal:
         counts = compute_counts(ds.full_view(), cfg)
         value, _ = depth2_optimal(counts, cfg, 2, range(ds.num_features))
         assert value == pytest.approx(brute_best(ds, 2, 0.1), abs=1e-8)
+
+
+@st.composite
+def depth2_cases(draw):
+    """(counts, config, depth, features) on small data, so values tie."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n = draw(st.sampled_from(range(1, 41)))      # uniform, unlike integers()
+    num_features = draw(st.sampled_from(range(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 2, size=(n, num_features))
+    if task == "classification":
+        y = rng.integers(0, draw(st.integers(2, 3)), size=n)
+    else:
+        y = rng.integers(0, 3, size=n) * 0.5   # few distinct leaf SSEs
+    if draw(st.booleans()):  # labels from two features: pure cells, ties
+        planted = X[:, 0] ^ X[:, -1]
+        if task == "regression":
+            planted = planted * 0.5
+        y = np.where(rng.random(n) < 0.1, y, planted)
+    ds = BinaryDataset.from_arrays(X, y, task=task)
+    view = ds.full_view()
+    side = draw(st.sampled_from([None, False, True]))
+    if side is not None:
+        cut = split(view, draw(st.integers(0, num_features - 1)))[side]
+        view = cut if cut.members else view
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    features = draw(st.permutations(range(num_features)))
+    features = features[:draw(st.sampled_from(range(num_features + 1)))]
+    return (compute_counts(view), ObjectiveConfig(task, lam=lam),
+            draw(st.sampled_from([0, 1, 2])), features)
+
+
+def plain_numbers(tree):
+    """Every feature is a Python int, every prediction an int or float."""
+    if tree[0] == "leaf":
+        return type(tree[1]) in (int, float)
+    return (type(tree[1]) is int and plain_numbers(tree[2])
+            and plain_numbers(tree[3]))
+
+
+class TestReferenceIdentity:
+    @settings(max_examples=500, deadline=None)
+    @given(depth2_cases())
+    def test_equals_scalar_sweep(self, case):
+        """The array-wide optimum is the scalar sweep's (value, tree),
+        exactly: same floats, same tie rule, plain Python numbers."""
+        got = depth2_optimal(*case)
+        assert got == reference_depth2_optimal(*case)
+        assert type(got[0]) is float and plain_numbers(got[1])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("n", [8, 14, 30])
+    def test_equals_scalar_sweep_grid(self, task, n):
+        """As above on planted data, where sides are often pure and a
+        sub-split ties its side's leaf at lambda 0: every side of every
+        root split, full and reduced feature sets."""
+        for seed in range(6):
+            ds = generate_dataset(n, 6, seed, task=task)
+            views = [ds.full_view()] + [
+                side for f in range(6) for side in split(ds.full_view(), f)
+                if side.members]
+            for view, lam, features in itertools.product(
+                    views, (0.0, 0.01), (range(6), [0, 2, 3, 5], [4, 1])):
+                case = (compute_counts(view), ObjectiveConfig(task, lam=lam),
+                        2, features)
+                assert depth2_optimal(*case) == reference_depth2_optimal(*case)
 
 
 def drain(node):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +52,13 @@ class TestSerialization:
     def test_format(self):
         assert serialize_tree(STUMP) == \
             '{"feature":0,"left":{"predict":0},"right":{"predict":1}}'
+
+    def test_numpy_scalars(self):
+        """numpy features and predictions serialize as plain numbers."""
+        tree = ("split", np.int64(2), ("leaf", np.int64(0)),
+                ("leaf", np.float64(0.5)))
+        assert serialize_tree(tree) == \
+            '{"feature":2,"left":{"predict":0},"right":{"predict":0.5}}'
 
 
 class TestEvaluateCost:
