@@ -5,10 +5,11 @@ subset, depth budget) subproblem and builds it one way: a leaf helper plus
 one branch helper per root feature, each merging its two children's sorted
 lists lazily (a heap frontier over index pairs). A deeper node's children
 are search nodes; a depth <= 2 node's children are its root's two side
-lists, read once off the frequency-count table (``depth2.generate_depth2``),
-so its two- and three-split trees are pairs of side groups. Nodes are
-shared through a cache keyed by the sample subset, carrying the maximum
-upper bound seen among sharers.
+lists, slices of the view's depth-two side table (``depth2.generate_depth2``)
+sorted when first opened and grouped by value on demand, so its two- and
+three-split trees are pairs of side groups. Nodes are shared through a
+cache keyed by the sample subset, carrying the maximum upper bound seen
+among sharers.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .dataset import fingerprint, split
-from .depth2 import generate_depth2, side_entry
+from .depth2 import generate_depth2, table_leaf
 from .groups import BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees
-from .objective import (ObjectiveConfig, best_leaf, leaf_cost, rashomon_bound,
+from .objective import (ObjectiveConfig, leaf_cost, rashomon_bound,
                         total_cost, value_le, values_equal)
 from .optdp import OptimalSolver
 
@@ -130,24 +131,36 @@ class BranchHelper:
 
 
 class SideNode:
-    """One side of a depth <= 2 node's root split: its complete sorted
-    depth <= 1 side list (``generate_depth2``) grouped by value.
+    """One side of a depth <= 2 node's root split: its side list (a
+    ``depth2.SideList``, a sorted slice of the view's side table) grouped
+    by value.
 
-    Built when a branch helper first opens the side. Its list is fixed, so
-    raising its bound changes nothing.
+    Opened when a branch helper first reads the side; groups are built only
+    up to the index asked for, and the list is dropped once all are built.
+    Its list is fixed, so raising its bound changes nothing.
     """
 
-    def __init__(self, view, items, tol):
+    def __init__(self, view, side, tol):
+        self.view = view
+        self.tol = tol
         self.ssl = []
-        for item in items:
-            entry = side_entry(item)
-            if self.ssl and values_equal(self.ssl[-1].value, item[0], tol):
-                self.ssl[-1].add(entry)
-            else:
-                self.ssl.append(SolutionGroup(item[0], [entry], view))
+        self._values, self._make = side.open()
+        self._next = 0              # the first item not yet grouped
 
     def get_nth(self, index):
-        return self.ssl[index] if index < len(self.ssl) else None
+        ssl = self.ssl
+        while len(ssl) <= index and self._values:
+            values, tol = self._values, self.tol
+            start = end = self._next
+            value = values[start]
+            while end < len(values) and abs(value - values[end]) <= tol:
+                end += 1            # objective.values_equal, inlined
+            ssl.append(SolutionGroup(value, self._make(start, end),
+                                     self.view))
+            self._next = end
+            if end == len(values):
+                self._values = self._make = None
+        return ssl[index] if index < len(ssl) else None
 
     def raise_ub(self, new_ub):
         pass
@@ -213,9 +226,9 @@ class SearchNode:
         def side(f, items, index):
             return lambda: SideNode(split(view, f)[index], items, tol)
 
-        return (best_leaf(eng.dataset, counts.total()),
-                [(f, lefts[0][0], rights[0][0], side(f, lefts, 0),
-                  side(f, rights, 1)) for f, lefts, rights in self._pool])
+        return (table_leaf(counts),
+                [(f, left.value, right.value, side(f, left, 0),
+                  side(f, right, 1)) for f, left, right in self._pool])
 
     def _split_roots(self):
         """Any depth: the leaf and one split per feature, children solved."""

@@ -1,16 +1,15 @@
 """Grouped solution structure: all subtree solutions sharing one value.
 
-A SolutionGroup holds entries that are either a bare leaf, a fully built
-one-split subtree (from a depth-two side list), or a branch entry referencing
-pairs of child groups. References form a DAG, so tree counts are products
-and sums over the structure, kept in arbitrary precision.
+A SolutionGroup holds entries that are either a bare leaf, a one-split
+subtree (from a depth-two side list), or a branch entry referencing pairs of
+child groups. References form a DAG, so tree counts are products and sums
+over the structure, kept in arbitrary precision.
 """
 from __future__ import annotations
 
 from itertools import islice
 
 from .objective import distinct_leaf_labels
-from .trees import features_used
 
 
 class LeafEntry:
@@ -27,13 +26,23 @@ class LeafEntry:
 
 
 class TreeEntry:
-    """A concrete subtree solution (a depth-1 subtree of a depth-two side
-    list)."""
+    """A depth-1 subtree of a depth-two side list: its split feature and
+    its two leaf predictions. The ``tree`` tuple is built on first access
+    and kept, so an entry never materialised holds no tuple."""
 
-    __slots__ = ("tree",)
+    __slots__ = ("feature", "left", "right", "tree")
 
-    def __init__(self, tree):
-        self.tree = tree
+    def __init__(self, feature, left, right):
+        self.feature = feature
+        self.left = left
+        self.right = right
+
+    def __getattr__(self, name):  # only reached while a slot is unset
+        if name != "tree":
+            raise AttributeError(name)
+        self.tree = ("split", self.feature, ("leaf", self.left),
+                     ("leaf", self.right))
+        return self.tree
 
 
 class Pair:
@@ -135,7 +144,7 @@ def count_trees(group: SolutionGroup, avoid=None) -> int:
         if isinstance(entry, LeafEntry):
             total += 1
         elif isinstance(entry, TreeEntry):
-            if avoid is None or avoid not in features_used(entry.tree):
+            if entry.feature != avoid:
                 total += 1
         elif entry.feature != avoid:
             for pair in entry.pairs:

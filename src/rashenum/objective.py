@@ -1,8 +1,11 @@
 """Objective value arithmetic: the leaf kernel, branching cost, Rashomon bound.
 
-Every leaf value, label and suppression choice is made here: ``best_leaf``
-for views and depth-two cells alike, ``distinct_leaf_labels`` for sibling
-leaves. ``trees.evaluate_cost`` re-scores trees independently of both.
+Every leaf value, label and suppression choice is defined here:
+``best_leaf`` for a view's cell, ``distinct_leaf_labels`` for sibling
+leaves. The depth-two side table (``depth2``) repeats ``best_leaf``'s float
+operations and tie rule array-wide over its cells, and the tests pin the two
+to each other. ``trees.evaluate_cost`` re-scores trees independently of
+both.
 
 Value convention: a subtree's value covers its loss plus one lambda per
 branching node strictly inside it. Leaves carry no lambda; every combine

@@ -53,3 +53,11 @@ def random_dataset(seed, num_samples, num_features, num_classes=2,
         return BinaryDataset.from_arrays(X, y, task=task)
     y = rng.normal(size=num_samples)
     return BinaryDataset.from_arrays(X, y, task=task).normalize_labels()
+
+
+def plain_numbers(tree):
+    """Every feature is a Python int, every prediction an int or float."""
+    if tree[0] == "leaf":
+        return type(tree[1]) in (int, float)
+    return (type(tree[1]) is int and plain_numbers(tree[2])
+            and plain_numbers(tree[3]))

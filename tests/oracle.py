@@ -3,9 +3,11 @@
 Everything here is written from first principles against the objective
 definition (loss plus a per-leaf penalty) and deliberately shares no logic
 with the package's solver or enumeration engine: trees are enumerated by
-plain exhaustive recursion over sample subsets. The one exception is
-``reference_depth2_optimal``: the scalar sweep that ``depth2_optimal`` once
-was, kept to pin the array-wide solver's floats and tie rule exactly.
+plain exhaustive recursion over sample subsets. The exceptions are
+``reference_depth2_optimal`` and ``reference_side_lists``: the scalar sweep
+that ``depth2_optimal`` and ``generate_depth2`` once were, one
+``best_leaf`` call per cell, kept to pin the array-wide side table's
+floats, order and tie rule exactly.
 """
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from rashenum.depth2 import _roots, _subtrees, side_tree
-from rashenum.objective import best_leaf
+from rashenum.objective import LeafSolution, best_leaf, distinct_leaf_labels
 
 
 def _subset_indices(dataset, members):
@@ -172,6 +173,77 @@ def oracle_pareto(points):
         seen.add(coords)
         front.append((coords, payload))
     return sorted(front, key=lambda cp: cp[0])
+
+
+def _stump(lam, suppress, feature, lsol, rsol):
+    """Depth-1 split from its two leaf solutions: (value, feature, left
+    prediction, right prediction), or None when suppression rejects it."""
+    pl, pr = lsol.prediction, rsol.prediction
+    if suppress:
+        labels = distinct_leaf_labels(pl, lsol.alternatives,
+                                      pr, rsol.alternatives)
+        if labels is None:
+            return None
+        pl, pr = labels
+    return lsol.value + rsol.value + lam, feature, pl, pr
+
+
+def _leaves(ds, neg, pos):
+    """Leaf solutions of a split's two cells, or None when one is empty."""
+    lsol, rsol = best_leaf(ds, neg), best_leaf(ds, pos)
+    return None if lsol is None or rsol is None else (lsol, rsol)
+
+
+def _roots(counts, features):
+    """(feature, left leaf, right leaf) per feature whose sides are non-empty."""
+    roots = []
+    for i in features:
+        sols = _leaves(counts.dataset, counts.side(i, False),
+                       counts.side(i, True))
+        if sols is not None:
+            roots.append((i, *sols))
+    return roots
+
+
+def _subtrees(counts, lam, features, i, suppress):
+    """Depth-1 subtrees under each side of root i, in ``features`` order:
+    (lefts, rights), lists of ``_stump`` tuples. Each sub-split costs one
+    quad lookup and two leaf-kernel calls; degenerate ones are left out."""
+    lefts, rights = [], []
+    for j in features:
+        if j == i:
+            continue
+        a, b, c, d = counts.quad(i, j)
+        for out, neg, pos in ((lefts, b, a), (rights, d, c)):  # j false left
+            sols = _leaves(counts.dataset, neg, pos)
+            if sols is not None:
+                sub = _stump(lam, suppress, j, *sols)
+                if sub is not None:
+                    out.append(sub)
+    return lefts, rights
+
+
+def side_tree(item):
+    """The tree of one side-list item: a LeafSolution or a _stump tuple."""
+    if isinstance(item, LeafSolution):
+        return ("leaf", item.prediction)
+    return ("split", item[1], ("leaf", item[2]), ("leaf", item[3]))
+
+
+def reference_side_lists(counts, config, depth, features, suppress):
+    """``generate_depth2`` as a scalar sweep: (feature, lefts, rights) per
+    root feature whose sides are both non-empty, each side list sorted
+    stably by value (the side's ``LeafSolution`` first, then ``_stump``
+    tuples in ``features`` order, among equal values)."""
+    if depth < 1:
+        return []
+    out = []
+    for i, lsol, rsol in _roots(counts, features):
+        lefts, rights = (_subtrees(counts, config.lam, features, i, suppress)
+                         if depth >= 2 else ((), ()))
+        out.append((i, sorted([lsol, *lefts], key=itemgetter(0)),
+                    sorted([rsol, *rights], key=itemgetter(0))))
+    return out
 
 
 def reference_depth2_optimal(counts, config, depth, features):

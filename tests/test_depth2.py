@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from rashenum import (BinaryDataset, Engine, ObjectiveConfig,
                       generate_dataset, leaf_cost, materialize, split)
-from rashenum.depth2 import compute_counts, depth2_optimal
-from rashenum.objective import best_leaf, view_cell
-from conftest import random_dataset
+from rashenum.depth2 import compute_counts, depth2_optimal, generate_depth2
+from rashenum.groups import LeafEntry
+from rashenum.objective import LeafSolution, best_leaf, view_cell
+from conftest import plain_numbers, random_dataset
 from corpus import strip_predictions
-from oracle import oracle_structures, reference_depth2_optimal
+from oracle import (oracle_structures, reference_depth2_optimal,
+                    reference_side_lists)
 
 
 def brute_best(ds, depth, lam):
@@ -147,15 +149,61 @@ def depth2_cases(draw):
             draw(st.sampled_from([0, 1, 2])), features)
 
 
-def plain_numbers(tree):
-    """Every feature is a Python int, every prediction an int or float."""
-    if tree[0] == "leaf":
-        return type(tree[1]) in (int, float)
-    return (type(tree[1]) is int and plain_numbers(tree[2])
-            and plain_numbers(tree[3]))
+def exact(x):
+    """A number with its type and, for a float, its bits."""
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+def scalar_item(item):
+    """(value, feature, left, right, alternatives) of a scalar side item:
+    a ``LeafSolution`` or a (value, feature, left, right) stump tuple."""
+    if isinstance(item, LeafSolution):
+        return (exact(item.value), None, exact(item.prediction), None,
+                item.alternatives)
+    value, feature, left, right = item
+    return exact(value), exact(feature), exact(left), exact(right), None
+
+
+def table_item(value, entry):
+    """The same row for an opened table item and its group entry."""
+    if isinstance(entry, LeafEntry):
+        return (exact(value), None, exact(entry.prediction), None,
+                entry.alternatives)
+    return (exact(value), exact(entry.feature), exact(entry.left),
+            exact(entry.right), None)
+
+
+def table_side_lists(counts, config, depth, features, suppress):
+    """``generate_depth2``'s side lists opened in full: (feature, (left
+    optimum, rows), (right optimum, rows)) per root."""
+    out = []
+    for f, *sides in generate_depth2(counts, config, depth, features,
+                                     suppress):
+        opened = []
+        for side in sides:
+            values, make = side.open()
+            opened.append((exact(side.value), [
+                table_item(v, e)
+                for v, e in zip(values, make(0, len(values)))]))
+        out.append((exact(f), *opened))
+    return out
 
 
 class TestReferenceIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(depth2_cases(), st.booleans())
+    def test_side_lists_equal_scalar_sweep(self, case, suppress):
+        """Every root's side lists, read off the table, equal the scalar
+        sweep's item for item: the value bits, the stable order, the
+        sub-split feature, both predictions (relabelled under suppression)
+        and the leaf's tied alternatives, plus each side's optimum."""
+        expect = [(exact(f), *((scalar_item(items[0])[0],
+                                [scalar_item(item) for item in items])
+                               for items in (lefts, rights)))
+                  for f, lefts, rights in reference_side_lists(*case,
+                                                               suppress)]
+        assert table_side_lists(*case, suppress) == expect
+
     @settings(max_examples=500, deadline=None)
     @given(depth2_cases())
     def test_equals_scalar_sweep(self, case):

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from rashenum import (BinaryDataset, BranchEntry, RashomonEnumeration,
                       TreeEntry, count_trees, enumerate_rashomon,
-                      evaluate_cost, generate_dataset, materialize, num_leaves,
-                      ObjectiveConfig)
+                      evaluate_cost, features_used, generate_dataset,
+                      materialize, num_leaves, ObjectiveConfig)
 from rashenum import engine as engine_module
 from rashenum.engine import BranchHelper
 from rashenum.objective import DEFAULT_TOLERANCE, value_le
-from conftest import random_dataset
-from corpus import strip_predictions
+from conftest import plain_numbers, random_dataset
+from corpus import canonical, strip_predictions
+from oracle import oracle_rashomon, oracle_structures
 
 
 class StaticNode:
@@ -273,6 +274,56 @@ class TestDepthTwoNodes:
                     and h.right_node is not None for l, r in h.visited
                     if l >= len(h.left_node.ssl) or r >= len(h.right_node.ssl)]
         assert past_end
+
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_table_trees_hold_python_numbers(self, task, suppress):
+        """Every tree materialised from a table node's side groups holds
+        int features and int/float predictions, never numpy scalars, and
+        ``count_trees(group, avoid)`` leaves out exactly the stumps on
+        ``avoid``."""
+        ds = generate_dataset(150, 6, 4, task=task, num_classes=3
+                              if task == "classification" else 2)
+        enum = RashomonEnumeration(ds, 3, lam=0.01, max_trees=2000,
+                                   suppress_trivial=suppress)
+        assert list(enum.groups())
+        sides = [g for node in enum.engine.node_cache.values()
+                 if node.depth <= 2 for h in node._branches or ()
+                 for child in (h.left_node, h.right_node)
+                 if child is not None for g in child.ssl]
+        assert any(isinstance(e, TreeEntry) for g in sides for e in g.entries)
+        for group in [*sides, *held_groups(enum.engine)]:
+            trees = list(materialize(group))
+            assert all(plain_numbers(t) for t in trees)
+            for f in range(ds.num_features):
+                assert count_trees(group, f) == sum(
+                    f not in features_used(t) for t in trees)
+
+
+class TestFeatureSubsets:
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_empty_and_one_feature_sets(self, kept, depth, task, suppress):
+        """Excluding every feature, or every feature but one, leaves the
+        leaf and at most the one split: the whole set equals the oracle's
+        over the kept features, at every depth, table nodes included."""
+        ds = random_dataset(31 + kept, 14, 4, num_classes=2, task=task)
+        for left in [()] if not kept else [(f,) for f in range(4)]:
+            excluded = [f for f in range(4) if f not in left]
+            enum = RashomonEnumeration(ds, depth, lam=0.01, epsilon=1e6,
+                                       suppress_trivial=suppress,
+                                       excluded_features=excluded,
+                                       tolerance=1e-9)
+            got = sorted((round(em.total_cost, 9), canonical(t, task))
+                         for em in enum.groups()
+                         for t in materialize(em.group))
+            expect, _, _ = oracle_rashomon(
+                oracle_structures(ds, depth, suppress, features=left),
+                0.01, 1e6)
+            assert got == sorted((round(c, 9), canonical(t, task))
+                                 for c, t in expect)
 
 
 def shifted_regression(seed, offset):

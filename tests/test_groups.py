@@ -12,8 +12,7 @@ def group_of(*entries, value=0.0):
 
 class TestCounting:
     def test_leaf_and_tree_entries_count_one_each(self):
-        g = group_of(LeafEntry(0), TreeEntry(("split", 0, ("leaf", 0),
-                                              ("leaf", 1))))
+        g = group_of(LeafEntry(0), TreeEntry(0, 0, 1))
         assert count_trees(g) == 2
 
     def test_branch_entry_counts_products(self):
@@ -23,8 +22,7 @@ class TestCounting:
         assert count_trees(g) == 6
 
     def test_count_matches_materialization(self):
-        left = group_of(LeafEntry(0), TreeEntry(("split", 1, ("leaf", 0),
-                                                 ("leaf", 1))))
+        left = group_of(LeafEntry(0), TreeEntry(1, 0, 1))
         right = group_of(LeafEntry(1), LeafEntry(0))
         g = group_of(LeafEntry(2), BranchEntry(0, [Pair(left, right)]))
         trees = list(materialize(g))
@@ -96,7 +94,7 @@ class TestAvoidedFeatureCount:
     def test_branch_on_avoided_feature_counts_zero(self):
         child = group_of(LeafEntry(0), LeafEntry(1))
         g = group_of(LeafEntry(0), BranchEntry(2, [Pair(child, child)]),
-                     TreeEntry(("split", 1, ("leaf", 0), ("leaf", 1))))
+                     TreeEntry(1, 0, 1))
         assert [count_trees(g, f) for f in (None, 1, 2, 3)] == [6, 5, 2, 6]
 
     @settings(max_examples=40, deadline=None)
