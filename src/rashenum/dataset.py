@@ -2,8 +2,10 @@
 
 Feature columns are stored as Python integers used as bitsets (bit i set
 means sample i satisfies the feature), alongside a dense boolean matrix for
-vectorized counting. Subsets of samples are represented by ``DataView``,
-which is just a member bitset over the parent dataset.
+regression counting; the columns and class masks are also packed into
+``uint64`` word arrays, on first use, for popcount counting. Subsets of
+samples are represented by ``DataView``, which is just a member bitset over
+the parent dataset.
 """
 from __future__ import annotations
 
@@ -24,6 +26,14 @@ def _bits_from_bools(flags) -> int:
     """The bitset whose bit i is set when ``flags[i]`` is truthy."""
     packed = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _words(bitsets, n) -> np.ndarray:
+    """The (len(bitsets), ceil(n / 64)) little-endian ``uint64`` words of
+    n-bit bitsets: bit i of a bitset is bit i % 64 of word i // 64."""
+    width = 8 * ((n + 63) // 64)
+    raw = b"".join(b.to_bytes(width, "little") for b in bitsets)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(bitsets), -1)
 
 
 def _bool_matrix(columns, n) -> np.ndarray:
@@ -86,6 +96,16 @@ class BinaryDataset:
         else:
             self.class_masks = None
 
+    @cached_property
+    def words(self) -> np.ndarray:
+        """(F, W) ``uint64``: the feature columns, packed (built on first use)."""
+        return _words(self.columns, self.num_samples)
+
+    @cached_property
+    def class_words(self) -> np.ndarray:
+        """(C, W) ``uint64``: the class masks, packed (built on first use)."""
+        return _words(self.class_masks, self.num_samples)
+
     @classmethod
     def from_arrays(cls, X, labels, task="classification", feature_names=None):
         X = np.asarray(X)
@@ -131,18 +151,28 @@ class DataView:
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return np.nonzero(bits[:n])[0]
 
+    def member_words(self) -> np.ndarray:
+        """(W,) ``uint64``: the member bitset, packed like ``dataset.words``."""
+        return _words((self.members,), self.dataset.num_samples)[0]
+
     def feature_is_constant(self, feature: int) -> bool:
         inter = self.members & self.dataset.columns[feature]
         return inter == 0 or inter == self.members
 
 
-def split(view: DataView, feature: int):
-    """Partition a view on one feature: (feature unsatisfied, feature satisfied)."""
+def split_side(view: DataView, feature: int, satisfied: bool) -> DataView:
+    """One side of a view's split on a feature: the members that satisfy it,
+    or those that do not."""
     if not 0 <= feature < view.dataset.num_features:
         raise IndexError(f"feature index {feature} out of range")
     col = view.dataset.columns[feature]
-    right = view.members & col
-    return DataView(view.dataset, view.members & ~right), DataView(view.dataset, right)
+    members = view.members & (col if satisfied else ~col)
+    return DataView(view.dataset, members)
+
+
+def split(view: DataView, feature: int):
+    """Partition a view on one feature: (feature unsatisfied, feature satisfied)."""
+    return split_side(view, feature, False), split_side(view, feature, True)
 
 
 def fingerprint(view: DataView, depth: int):

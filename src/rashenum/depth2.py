@@ -3,16 +3,23 @@
 Single and pairwise cell statistics (``CellStats``, one channel layout for
 both tasks, after the depth-two solver of MurTree) are precomputed once per
 subproblem; every depth <= 1 solution under a root split then follows from
-cell lookups, without recursive dataset splitting. The side table
-(``SideTable``, cached on the ``CellStats``) holds them array-wide: the leaf
-value and prediction of every root side, and the value and two leaf
-predictions of every (side, root, sub-split) stump, with the floats and the
-tie rule of the scalar leaf kernel ``objective.best_leaf``. The optimum
-(``depth2_optimal``) and the search node's side lists (``generate_depth2``)
-both read it; a side list is a sorted slice of the table, built when a
-search node first opens the side. A depth <= 2 tree is one (root, left
-side, right side) combination, each side a leaf or a depth-1 subtree, so no
-tree is emitted twice.
+cell lookups, without recursive dataset splitting. Classification counts
+are popcounts over the dataset's packed columns and class masks, as in
+DL8.5; regression sums are float products. The children of a depth-three
+subproblem are counted in one pass from their parent (``split_counts``):
+each right child's pairs by popcount, the rest read off the parent.
+
+The side table (``SideTable``, cached on the ``CellStats``) holds every
+depth <= 1 solution array-wide: the leaf value and prediction of every root
+side, and the value and two leaf predictions of every (side, root,
+sub-split) stump, with the floats and the tie rule of the scalar leaf
+kernel ``objective.best_leaf``. Tables and optima are built for a stack of
+sibling views at once (``stacked_depth2``); one view is a stack of one. The
+optimum (``depth2_optimal``) and the search node's side lists
+(``generate_depth2``) both read the table; a side list is a sorted slice of
+it, built when a search node first opens the side. A depth <= 2 tree is one
+(root, left side, right side) combination, each side a leaf or a depth-1
+subtree, so no tree is emitted twice.
 """
 from __future__ import annotations
 
@@ -20,6 +27,9 @@ import numpy as np
 
 from .groups import LeafEntry, TreeEntry
 from .objective import LeafSolution, distinct_leaf_labels
+
+# bytes of transient arrays one counting or table pass may hold at once
+_BUDGET = 2 << 20
 
 
 class CellStats:
@@ -51,29 +61,79 @@ class CellStats:
         return (fj - fi_fj, self.q0 - fi - fj + fi_fj, fi_fj, fi - fi_fj)
 
 
+def _popcount(words):
+    """The set bits of every (..., W) word row, as int64. (``einsum`` sums
+    the uint8 bit counts into int64 faster than ``sum(dtype=...)`` does.)"""
+    return np.einsum("...w->...", np.bitwise_count(words), dtype=np.int64)
+
+
+def _pair_counts(rows, cols):
+    """(..., F) int64: the set bits of ``rows[...] & cols[f]`` for (..., W)
+    rows and (F, W) columns. Rows go in chunks, so the (rows, F, W)
+    temporary stays within the byte budget."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty((len(flat), len(cols)), dtype=np.int64)
+    step = max(1, _BUDGET // (9 * cols.size))
+    for start in range(0, len(flat), step):
+        out[start:start + step] = _popcount(flat[start:start + step, None]
+                                            & cols)
+    return out.reshape(rows.shape[:-1] + (len(cols),))
+
+
 def compute_counts(view, config=None):
     """Cell statistics of a view; ``config`` is not read (the task is the
     dataset's).
 
-    Classification counts are float64 matrix products (BLAS) cast back to
-    int64: a sum of 0/1 products is exact in float64 while it stays below
-    2^53, so they equal the integer products.
+    Classification counts are popcounts of the view's members of each class
+    and the packed feature columns: exact integers at any size.
     """
     ds = view.dataset
+    if ds.task == "classification":  # channel k: the members of class k
+        rows = ds.class_words & view.member_words()         # (C, W)
+        pairs = rows[:, None] & ds.words                    # (C, F, W)
+        return CellStats(_popcount(rows), _popcount(pairs),
+                         _pair_counts(pairs, ds.words), ds)
     idx = view.member_indices()
-    X = ds.X[idx]
-    if ds.task == "classification":  # channel k: the samples of class k
-        y = ds.labels[idx]
-        rows = [X[y == k].astype(np.float64) for k in range(ds.num_classes)]
-        q1 = np.array([M.sum(axis=0) for M in rows]).astype(np.int64)
-        q2 = np.array([M.T @ M for M in rows]).astype(np.int64)
-        return CellStats(np.array([len(M) for M in rows], dtype=np.int64),
-                         q1, q2, ds)
     yc = ds.labels[idx] - ds.label_mean   # channels 1, yc, yc^2 per sample
     W = np.stack((np.ones_like(yc), yc, yc * yc))
-    Xf = X.astype(np.float64)
+    Xf = ds.X[idx].astype(np.float64)
     q2 = np.stack([Xf.T @ (Xf * w[:, None]) for w in W])
     return CellStats(W.sum(axis=1), W @ Xf, q2, ds)
+
+
+def split_counts(view, counts, roots):
+    """The count arrays (q0, q1, q2) of both children of a classification
+    view on each feature in ``roots``, stacked (root, side, ...) in
+    ``CellStats`` layout: side 0 is the left child (feature unsatisfied),
+    side 1 the right.
+
+    A right child's pairs are popcounts of the view's class members on the
+    root column; its singles and size are the parent's pairs and singles on
+    the root. The left child is the parent minus the right, exact in
+    integers.
+    """
+    ds = view.dataset
+    roots = np.asarray(roots, dtype=np.intp)
+    rows = ((ds.class_words & view.member_words())[None]
+            & ds.words[roots, None])                        # (K, C, W)
+    right = (counts.q1[:, roots].T, counts.q2[:, roots].swapaxes(0, 1),
+             _pair_counts(rows[:, :, None] & ds.words, ds.words))
+    return tuple(np.stack((whole - part, part), axis=1)
+                 for whole, part in zip((counts.q0, counts.q1, counts.q2),
+                                        right))
+
+
+def sibling_chunks(ds, roots, features):
+    """``roots`` in runs whose children's transient arrays fit the byte
+    budget together. Per root: two children's table builds (their cells and
+    the leaf kernel's temporaries, some C + 8 arrays of (4, K, K)), three
+    stacked copies of their pair counts, and the right child's (C, F, W)
+    packed pair rows."""
+    c = ds.num_classes if ds.task == "classification" else 3
+    k, f, w = len(features), ds.num_features, (ds.num_samples + 63) // 64
+    per_root = 8 * (2 * (c + 8) * 4 * k * k + 6 * c * f * f + c * f * w)
+    step = max(1, _BUDGET // per_root)
+    return [roots[i:i + step] for i in range(0, len(roots), step)]
 
 
 def _leaves(ds, cells):
@@ -118,15 +178,31 @@ def table_leaf(counts):
     return LeafSolution(value.item(), prediction.item(), _alternatives(ds, q0))
 
 
-def _stump_cells(counts, idx):
-    """(C, 4, K, K): the (neg, pos) cells of sub-split j under root i's
-    left side, then its right side, for i and j in ``idx``."""
-    q0 = counts.q0
-    fi = counts.q1[:, idx]
-    fi, fj = fi[:, :, None], fi[:, None, :]
-    fij = counts.q2[:, idx[:, None], idx]
-    return np.stack((q0[:, None, None] - fi - fj + fij, fj - fij, fi - fij,
-                     fij), axis=1)
+def _stump_cells(q0, q1, q2, idx):
+    """(C, S, 4, K, K): for a stack of S views, the (neg, pos) cells of
+    sub-split j under root i's left side, then its right side, for i and j
+    in ``idx``."""
+    fi = q1[:, :, idx].swapaxes(0, 1)                       # (C, S, K)
+    fi, fj = fi[..., :, None], fi[..., None, :]
+    fij = q2[:, :, idx[:, None], idx].swapaxes(0, 1)        # (C, S, K, K)
+    q0 = q0.T[..., None, None]
+    return np.stack((q0 - fi - fj + fij, fj - fij, fi - fij, fij), axis=2)
+
+
+def _side_arrays(ds, q0, q1, q2, idx, stumps):
+    """The side-table arrays of a stack of views, each with a leading stack
+    axis: ``leaf`` and ``leaf_pred`` (S, 2, K), then, with ``stumps``,
+    ``stump`` (S, 2, K, K) and ``pred`` (S, 4, K, K), else None twice."""
+    fi = q1[:, :, idx].swapaxes(0, 1)                       # (C, S, K)
+    leaf, leaf_pred = _leaves(ds, np.stack((q0.T[..., None] - fi, fi),
+                                           axis=2))
+    if not stumps:
+        return leaf, leaf_pred, None, None
+    vals, pred = _leaves(ds, _stump_cells(q0, q1, q2, idx))
+    stump = vals[:, 0::2] + vals[:, 1::2]
+    roots = np.arange(len(idx))
+    stump[:, :, roots, roots] = np.inf                      # j == i
+    return leaf, leaf_pred, stump, pred
 
 
 class SideTable:
@@ -134,36 +210,21 @@ class SideTable:
     view, over one feature list, as arrays indexed (side, root[, sub-split]).
 
     Side 0 is a root's left side (feature unsatisfied), side 1 its right;
-    roots and sub-splits are positions in ``features``. The leaf arrays are
-    built at once, the stump arrays on the first depth-2 read (``stumps``).
-    A stump's value leaves out lambda: ``neg + pos``, so adding lambda
-    gives the scalar ``neg + pos + lambda`` bit for bit. It is ``inf``
-    where the sub-split is the root or leaves a cell empty.
+    roots and sub-splits are positions in ``features``. A table built for
+    depth 1 has no stump arrays. A stump's value leaves out lambda:
+    ``neg + pos``, so adding lambda gives the scalar ``neg + pos + lambda``
+    bit for bit. It is ``inf`` where the sub-split is the root or leaves a
+    cell empty.
     """
 
-    def __init__(self, counts, features):
-        ds = counts.dataset
+    def __init__(self, features, leaf, leaf_pred, stump, pred):
         self.features = features
         self.idx = np.array(features, dtype=np.intp)
-        q0 = counts.q0
-        fi = counts.q1[:, self.idx]                     # (C, K)
-        sides = np.stack((q0[:, None] - fi, fi), axis=1)
-        self.leaf, self.leaf_pred = _leaves(ds, sides)  # (2, K) each
-        self.stump = None      # (2, K, K) values without lambda
-        self.pred = None       # (4, K, K) neg, pos prediction per side
+        self.leaf = leaf            # (2, K)
+        self.leaf_pred = leaf_pred  # (2, K)
+        self.stump = stump          # (2, K, K) values without lambda, or None
+        self.pred = pred            # (4, K, K) neg, pos prediction per side
         self._rejected = None
-
-    def stumps(self, counts):
-        """Build the stump arrays once; returns the table."""
-        if self.stump is None:
-            ds = counts.dataset
-            cells = _stump_cells(counts, self.idx)
-            vals, self.pred = _leaves(ds, cells)
-            stump = vals[0::2] + vals[1::2]
-            roots = np.arange(len(self.idx))
-            stump[:, roots, roots] = np.inf             # j == i
-            self.stump = stump
-        return self
 
     def rejected(self, counts):
         """(2, K, K): the stumps suppression rejects, whose two leaves share
@@ -171,20 +232,78 @@ class SideTable:
         if self._rejected is None:
             same = self.pred[0::2] == self.pred[1::2]
             if counts.dataset.task == "classification":
-                cells = _stump_cells(counts, self.idx)
+                cells = _stump_cells(counts.q0[None], counts.q1[None],
+                                     counts.q2[None], self.idx)[:, 0]
                 tied = (cells == cells.max(axis=0)).sum(axis=0) > 1
                 same &= ~(tied[0::2] | tied[1::2])
             self._rejected = same
         return self._rejected
 
 
+def _optima(leaf_value, leaf, stump, lam):
+    """The depth <= 2 optimum of every view of a stack: (value, root, left
+    pick, right pick) arrays, with root -1 where the view's leaf wins and a
+    pick -1 where a side keeps its leaf, else the sub-split's position.
+
+    Inputs: the views' leaf values (S,), their tables' ``leaf`` (S, 2, K)
+    and ``stump`` (S, 2, K, K), or None for depth 1. Candidates are taken in
+    this order, each replacing the incumbent only when strictly better: the
+    leaf; every one-split tree, by root; then per root, the tree whose sides
+    are each the side's leaf unless some depth-1 subtree beats it strictly
+    (the lowest such sub-split among the best).
+    """
+    views = np.arange(len(leaf_value))
+    one = leaf[:, 0] + leaf[:, 1] + lam             # inf: a side is empty
+    root = one.argmin(axis=1)
+    best = one[views, root]
+    win = best < leaf_value
+    value = np.where(win, best, leaf_value)
+    root = np.where(win, root, -1)
+    picks = np.full((len(views), 2), -1)
+    if stump is not None:
+        subs = stump + lam
+        j = subs.argmin(axis=3)                     # first of the best
+        rows = subs.reshape(-1, subs.shape[3])
+        sub = rows[np.arange(len(rows)), j.ravel()].reshape(j.shape)
+        better = sub < leaf                         # the leaf wins ties
+        sides = np.where(better, sub, leaf)
+        two = sides[:, 0] + sides[:, 1] + lam
+        r = two.argmin(axis=1)
+        best = two[views, r]
+        win = best < value
+        value = np.where(win, best, value)
+        root = np.where(win, r, root)
+        picks[win] = np.where(better[views, :, r], j[views, :, r], -1)[win]
+    return value, root, picks
+
+
+def stacked_depth2(ds, q0, q1, q2, config, features):
+    """Depth-2 side tables and optimal values of a stack of sibling views,
+    given their count arrays in ``CellStats`` layout behind a leading stack
+    axis: (one ``SideTable`` per view, values (S,)). Each table's arrays are
+    its slice of the stack's."""
+    feats = tuple(features)
+    arrays = _side_arrays(ds, q0, q1, q2, np.array(feats, dtype=np.intp),
+                          True)
+    tables = [SideTable(feats, *(a[s] for a in arrays))
+              for s in range(len(q0))]
+    value = _optima(_leaves(ds, q0.T)[0], arrays[0], arrays[2], config.lam)[0]
+    return tables, value
+
+
 def side_table(counts, features, depth):
     """The view's ``SideTable`` over ``features`` (a tuple), with its stumps
-    when ``depth`` >= 2; built on first use and cached on ``counts``."""
+    when ``depth`` >= 2: a stack of one, built on first use and cached on
+    ``counts``."""
     table = counts.table
-    if table is None or table.features != features:
-        table = counts.table = SideTable(counts, features)
-    return table.stumps(counts) if depth >= 2 else table
+    if (table is None or table.features != features
+            or (depth >= 2 and table.stump is None)):
+        arrays = _side_arrays(counts.dataset, counts.q0[None],
+                              counts.q1[None], counts.q2[None],
+                              np.array(features, dtype=np.intp), depth >= 2)
+        table = counts.table = SideTable(features, *(
+            None if a is None else a[0] for a in arrays))
+    return table
 
 
 class _Sides:
@@ -309,44 +428,28 @@ def generate_depth2(counts, config, depth, features, suppress):
 def depth2_optimal(counts, config, depth, features):
     """Optimal (value, tree) for a depth<=2 subproblem, straight from counts.
 
-    Array-wide over the view's side table, with the float operations of
-    ``best_leaf``: every side's best sub-split and every root's best tree
-    at once; no Python loop runs over features or cells. Candidates are
-    taken in this order, each replacing the incumbent only when strictly
-    better: the leaf; every one-split tree, by root feature; then per root
-    feature, the tree whose sides are each the side's leaf unless some
-    depth-1 subtree beats it strictly (the lowest such feature among the
-    best). "Lowest" is the order in which ``features`` lists them.
+    The optimum of a stack of one (``_optima``) over the view's side table,
+    with the float operations of ``best_leaf``: no Python loop runs over
+    features or cells. Ties keep the earlier candidate: the leaf; every
+    one-split tree, by root feature; then per root feature, the tree whose
+    sides are each the side's leaf unless some depth-1 subtree beats it
+    strictly (the lowest feature among the best). "Lowest" is the order in
+    which ``features`` lists them.
     """
-    lam = config.lam
     value, prediction = _leaves(counts.dataset, counts.total())
-    best_v, best = value.item(), None
     feats = tuple(features)
     if depth < 1 or not feats:
-        return best_v, ("leaf", prediction.item())
+        return value.item(), ("leaf", prediction.item())
     t = side_table(counts, feats, depth)
-    leaves = t.leaf                                     # (2, K)
-    one = leaves[0] + leaves[1] + lam                   # inf: a side is empty
-    r = int(one.argmin())
-    if one[r] < best_v:
-        best_v, best = one[r].item(), (r, -1, -1)
-    if depth >= 2:
-        roots = np.arange(len(feats))
-        subs = t.stump + lam                            # (2, K, K)
-        j = subs.argmin(axis=2)                         # first of the best
-        sub = subs[[[0], [1]], roots, j]
-        better = sub < leaves                           # the leaf wins ties
-        sides = np.where(better, sub, leaves)
-        two = sides[0] + sides[1] + lam
-        r = int(two.argmin())
-        if two[r] < best_v:
-            picks = np.where(better[:, r], j[:, r], -1).tolist()
-            best_v, best = two[r].item(), (r, *picks)
-    if best is None:
-        return best_v, ("leaf", prediction.item())
-    r, left, right = best
-    return best_v, ("split", feats[r], _side_tree(t, r, 0, left),
-                    _side_tree(t, r, 1, right))
+    best, root, picks = _optima(value[None], t.leaf[None],
+                                t.stump[None] if depth >= 2 else None,
+                                config.lam)
+    r = root.item()
+    if r < 0:
+        return best.item(), ("leaf", prediction.item())
+    left, right = picks[0].tolist()
+    return best.item(), ("split", feats[r], _side_tree(t, r, 0, left),
+                         _side_tree(t, r, 1, right))
 
 
 def _side_tree(table, k, s, sub):

@@ -17,9 +17,10 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .dataset import fingerprint, split
+from .dataset import fingerprint, split, split_side
 from .depth2 import generate_depth2, table_leaf
-from .groups import BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees
+from .groups import (BranchEntry, LeafEntry, Pair, SideGroup, SolutionGroup,
+                     count_trees)
 from .objective import (ObjectiveConfig, leaf_cost, rashomon_bound,
                         total_cost, value_le, values_equal)
 from .optdp import OptimalSolver
@@ -155,8 +156,7 @@ class SideNode:
             value = values[start]
             while end < len(values) and abs(value - values[end]) <= tol:
                 end += 1            # objective.values_equal, inlined
-            ssl.append(SolutionGroup(value, self._make(start, end),
-                                     self.view))
+            ssl.append(SideGroup(value, self._make(start, end), self.view))
             self._next = end
             if end == len(values):
                 self._values = self._make = None
@@ -223,12 +223,12 @@ class SearchNode:
                                      eng.features, eng.suppress)
         view, tol = self.view, eng.tol
 
-        def side(f, items, index):
-            return lambda: SideNode(split(view, f)[index], items, tol)
+        def side(f, items, satisfied):
+            return lambda: SideNode(split_side(view, f, satisfied), items, tol)
 
         return (table_leaf(counts),
-                [(f, left.value, right.value, side(f, left, 0),
-                  side(f, right, 1)) for f, left, right in self._pool])
+                [(f, left.value, right.value, side(f, left, False),
+                  side(f, right, True)) for f, left, right in self._pool])
 
     def _split_roots(self):
         """Any depth: the leaf and one split per feature, children solved."""

@@ -1,12 +1,14 @@
 """Grouped solution structure: all subtree solutions sharing one value.
 
-A SolutionGroup holds entries that are either a bare leaf, a one-split
-subtree (from a depth-two side list), or a branch entry referencing pairs of
-child groups. References form a DAG, so tree counts are products and sums
-over the structure, kept in arbitrary precision.
+A SolutionGroup holds entries that are either a bare leaf or a branch entry
+referencing pairs of child groups; a SideGroup, a depth-two side list's
+group, holds leaves and one-split subtrees. References form a DAG, so tree
+counts are products and sums over the structure, kept in arbitrary
+precision.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 
 from .objective import distinct_leaf_labels
@@ -128,7 +130,29 @@ class SolutionGroup:
                         yield tree, None
 
     def __repr__(self):
-        return f"SolutionGroup(value={self.value}, entries={len(self.entries)})"
+        return (f"{type(self).__name__}(value={self.value}, "
+                f"entries={len(self.entries)})")
+
+
+class SideGroup(SolutionGroup):
+    """A depth-two side list's group: ``LeafEntry`` and ``TreeEntry`` items
+    only, each one tree. Its count is its length, less the subtrees on the
+    feature to avoid; the subtrees per feature are tallied on the first
+    count that avoids one."""
+
+    __slots__ = ("_stumps",)
+
+    def __init__(self, value, entries=None, view=None):
+        super().__init__(value, entries, view)
+        self._stumps = None
+
+    def count(self, avoid=None) -> int:
+        if avoid is None:
+            return len(self.entries)
+        if self._stumps is None:
+            self._stumps = Counter(e.feature for e in self.entries
+                                   if type(e) is TreeEntry)
+        return len(self.entries) - self._stumps[avoid]
 
 
 def count_trees(group: SolutionGroup, avoid=None) -> int:
@@ -136,16 +160,18 @@ def count_trees(group: SolutionGroup, avoid=None) -> int:
 
     With avoid set, counts only the trees that never split on that feature.
     """
+    if type(group) is SideGroup:
+        return group.count(avoid)
     total = group._count.get(avoid)
     if total is not None:
         return total
     total = 0
     for entry in group.entries:
-        if isinstance(entry, LeafEntry):
+        kind = type(entry)
+        if kind is LeafEntry:
             total += 1
-        elif isinstance(entry, TreeEntry):
-            if entry.feature != avoid:
-                total += 1
+        elif kind is TreeEntry:
+            total += entry.feature != avoid
         elif entry.feature != avoid:
             for pair in entry.pairs:
                 total += pair.count(avoid)

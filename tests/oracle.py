@@ -7,7 +7,9 @@ plain exhaustive recursion over sample subsets. The exceptions are
 ``reference_depth2_optimal`` and ``reference_side_lists``: the scalar sweep
 that ``depth2_optimal`` and ``generate_depth2`` once were, one
 ``best_leaf`` call per cell, kept to pin the array-wide side table's
-floats, order and tie rule exactly.
+floats, order and tie rule exactly; and ``reference_solve``, the solver's
+former recursion, one split and one count table per child, kept to pin the
+depth-3 sibling pass.
 """
 from __future__ import annotations
 
@@ -15,7 +17,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from rashenum.objective import LeafSolution, best_leaf, distinct_leaf_labels
+from rashenum.dataset import DataView
+from rashenum.depth2 import compute_counts
+from rashenum.objective import (LeafSolution, best_leaf, distinct_leaf_labels,
+                                view_cell)
 
 
 def _subset_indices(dataset, members):
@@ -274,3 +279,42 @@ def reference_depth2_optimal(counts, config, depth, features):
         return best_v, ("leaf", p0)
     i, left, right = best
     return best_v, ("split", i, side_tree(left), side_tree(right))
+
+
+def reference_solve(dataset, config, depth, features):
+    """Optimal (value, tree) of the full view by the solver's former
+    recursion: a depth <= 2 subproblem is ``reference_depth2_optimal`` on
+    its own count table; a deeper one keeps its leaf unless some split on a
+    non-constant feature, tried in ``features`` order, has a strictly lower
+    ``(l + r) + lam``, skipping the right child where ``l + lam`` cannot
+    beat the incumbent."""
+    lam = config.lam
+    memo = {}
+
+    def rec(members, d):
+        key = (members, d)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        view = DataView(dataset, members)
+        if d <= 2:
+            out = reference_depth2_optimal(compute_counts(view), config, d,
+                                           features)
+        else:
+            leaf = best_leaf(dataset, view_cell(view))
+            best_v, best_t = leaf.value, ("leaf", leaf.prediction)
+            for f in features:
+                left, right = _split_members(dataset, members, f)
+                if not left or not right:
+                    continue
+                lv, lt = rec(left, d - 1)
+                if lv + lam >= best_v:
+                    continue
+                rv, rt = rec(right, d - 1)
+                if lv + rv + lam < best_v:
+                    best_v, best_t = lv + rv + lam, ("split", f, lt, rt)
+            out = best_v, best_t
+        memo[key] = out
+        return out
+
+    return rec(dataset.full_mask, depth)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rashenum import (BinaryDataset, Engine, ObjectiveConfig,
+from rashenum import (BinaryDataset, Engine, ObjectiveConfig, OptimalSolver,
                       generate_dataset, leaf_cost, materialize, split)
-from rashenum.depth2 import compute_counts, depth2_optimal, generate_depth2
+from rashenum.depth2 import (compute_counts, depth2_optimal, generate_depth2,
+                             split_counts, stacked_depth2)
 from rashenum.groups import LeafEntry
 from rashenum.objective import LeafSolution, best_leaf, view_cell
 from conftest import plain_numbers, random_dataset
@@ -55,8 +56,8 @@ class TestCounts:
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_classification_counts_equal_integer_products(self, seed,
                                                           num_classes):
-        """The float64 products cast back equal int64 ``M.T @ M`` per class,
-        on the full view and on both sides of a split."""
+        """The popcounts equal int64 ``M.T @ M`` per class, on the full
+        view and on both sides of a split."""
         ds = random_dataset(seed + 70, 90, 7, num_classes)
         for view in (ds.full_view(), *split(ds.full_view(), seed)):
             counts = compute_counts(view)
@@ -229,6 +230,124 @@ class TestReferenceIdentity:
                 case = (compute_counts(view), ObjectiveConfig(task, lam=lam),
                         2, features)
                 assert depth2_optimal(*case) == reference_depth2_optimal(*case)
+
+
+@st.composite
+def pass_cases(draw, tasks=("classification", "regression")):
+    """(view, features) for a depth-3 sibling pass: sizes on and off the
+    64-bit word boundary, either task, 2-3 classes, constant columns (whose
+    split leaves one child empty) and feature subsets of any size."""
+    task = draw(st.sampled_from(tasks))
+    n = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 129]),
+                       st.integers(2, 200)))
+    num_features = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 2, size=(n, num_features))
+    for j in range(num_features):
+        if draw(st.integers(0, 3)) == 0:
+            X[:, j] = draw(st.integers(0, 1))
+    if task == "classification":
+        y = rng.integers(0, draw(st.integers(2, 3)), size=n)
+    elif draw(st.booleans()):
+        y = rng.normal(size=n)
+    else:
+        y = rng.integers(0, 3, size=n) * 0.5   # few distinct leaf SSEs
+    ds = BinaryDataset.from_arrays(X, y, task=task)
+    view = ds.full_view()
+    if draw(st.booleans()):
+        cut = split(view, draw(st.integers(0, num_features - 1)))[
+            draw(st.integers(0, 1))]
+        view = cut if cut.members else view
+    features = draw(st.permutations(range(num_features)))
+    size = draw(st.sampled_from([0, 1, num_features]))
+    return view, features[:size]
+
+
+def integer_counts(view):
+    """Classification (q0, q1, q2) as int64 products of the view's rows,
+    apart from the popcount kernel."""
+    ds = view.dataset
+    idx = view.member_indices()
+    rows = [ds.X[idx][ds.labels[idx] == k].astype(np.int64)
+            for k in range(ds.num_classes)]
+    return (np.array([len(M) for M in rows], dtype=np.int64),
+            np.array([M.sum(axis=0) for M in rows], dtype=np.int64),
+            np.array([M.T @ M for M in rows], dtype=np.int64))
+
+
+def same_counts(got, want):
+    """Equal count arrays: dtype and values, bit for bit."""
+    return all(a.dtype == b.dtype and a.shape == b.shape
+               and a.tobytes() == b.tobytes()
+               for a, b in zip((got.q0, got.q1, got.q2),
+                               (want.q0, want.q1, want.q2)))
+
+
+class TestSiblingPass:
+    @settings(max_examples=300, deadline=None)
+    @given(pass_cases(tasks=("classification",)))
+    def test_split_counts_equal_direct_counts(self, case):
+        """Both children of every root, constant roots included, counted
+        from the parent equal ``compute_counts`` of the child and the
+        integer products of its rows: int64, exact, an empty child all
+        zeros."""
+        view, features = case
+        stacks = split_counts(view, compute_counts(view), features)
+        for k, f in enumerate(features):
+            for side, child in enumerate(split(view, f)):
+                want = compute_counts(child)
+                for got, arr, ints in zip(stacks, (want.q0, want.q1, want.q2),
+                                          integer_counts(child)):
+                    assert got.dtype == arr.dtype == np.int64
+                    assert np.array_equal(got[k, side], arr)
+                    assert np.array_equal(arr, ints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pass_cases(), st.sampled_from([0.0, 0.01, 0.3]))
+    def test_children_equal_direct_counts_and_reference(self, case, lam):
+        """After a depth-3 solve, every child of a non-constant root is a
+        cached depth-2 solve whose counts equal ``compute_counts(child)``
+        bit for bit, whose table is built for the solver's features, and
+        whose (value, tree) is ``reference_depth2_optimal``'s exactly."""
+        view, features = case
+        ds = view.dataset
+        cfg = ObjectiveConfig(ds.task, lam=lam)
+        solver = OptimalSolver(ds, cfg, features)
+        solver.solve(view, 3)
+        for f in features:
+            if view.feature_is_constant(f):
+                continue
+            for child in split(view, f):
+                want = compute_counts(child)
+                counts = solver.counts_cache[child.members]
+                assert same_counts(counts, want)
+                assert counts.table.features == tuple(features)
+                res = solver.cache[(child.members, 2)]
+                expect = reference_depth2_optimal(want, cfg, 2, features)
+                assert (exact(res.value), res.tree) == (exact(expect[0]),
+                                                        expect[1])
+                assert plain_numbers(res.tree)
+        assert solver.stats["solves"] == len(solver.cache)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_stacked_optima_equal_reference(self, task):
+        """Tables and optima of an arbitrary stack of views, not siblings,
+        equal the scalar sweep view by view."""
+        ds = generate_dataset(90, 6, 3, task=task, num_classes=3
+                              if task == "classification" else 2)
+        views = [side for f in range(6) for side in split(ds.full_view(), f)]
+        views += [split(views[3], 5)[0], ds.full_view()]
+        stats = [compute_counts(v) for v in views]
+        cfg = ObjectiveConfig(task, lam=0.01)
+        for features in (range(6), [4, 1, 3]):
+            q = [np.stack([getattr(c, name) for c in stats])
+                 for name in ("q0", "q1", "q2")]
+            tables, values = stacked_depth2(ds, *q, cfg, features)
+            for counts, table, value in zip(stats, tables, values):
+                expect = reference_depth2_optimal(counts, cfg, 2, features)
+                assert exact(value.item()) == exact(expect[0])
+                counts.table = table
+                assert depth2_optimal(counts, cfg, 2, features) == expect
 
 
 def drain(node):
