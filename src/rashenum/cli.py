@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from .analysis import find_min_multipliers, lofo_importance
 from .dataset import DataError, load_dataset, serialize_dataset
@@ -23,34 +22,6 @@ from .objective import ObjectiveConfig
 from .posteval import ParetoFront, eq_opportunity_spec, evaluate_secondary
 from .synth import generate_dataset
 from .trees import num_leaves, to_dict
-
-
-@dataclass
-class RunConfig:
-    """Resolved command-line options for one invocation."""
-
-    command: str
-    data: str = None
-    format: str = "auto"
-    label_col: str = None
-    task: str = "classification"
-    depth: int = 3
-    lam: float = 0.01
-    epsilon: float = None
-    max_trees: int = None
-    no_trivial_extensions: bool = False
-    tolerance: float = None
-    out: str = None
-    out_format: str = "jsonl"
-    sensitive_feature: int = None
-    positive_class: int = 1
-    delta: float = None
-    seed: int = 0
-    samples: int = 100
-    features: int = 10
-    noise: float = 0.1
-    normalize: bool = False
-    all_points: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,9 +120,9 @@ def _out_stream(path):
             yield fh
 
 
-def _load(cfg: RunConfig):
-    return load_dataset(cfg.data, fmt=cfg.format, task=cfg.task,
-                        label_col=cfg.label_col, normalize=cfg.normalize)
+def _load(args):
+    return load_dataset(args.data, fmt=args.format, task=args.task,
+                        label_col=args.label_col, normalize=args.normalize)
 
 
 def _summary(**kv):
@@ -159,67 +130,66 @@ def _summary(**kv):
           file=sys.stderr)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    if cfg.depth < 0:
+def cmd_solve(args) -> int:
+    if args.depth < 0:
         raise ValueError("depth must be >= 0")
-    dataset = _load(cfg)
-    config = ObjectiveConfig(task=dataset.task, lam=cfg.lam,
-                             equality_tolerance=cfg.tolerance)
+    dataset = _load(args)
+    config = ObjectiveConfig(task=dataset.task, lam=args.lam,
+                             equality_tolerance=args.tolerance)
     from .optdp import OptimalSolver
     from .objective import total_cost
 
     solver = OptimalSolver(dataset, config)
-    result = solver.solve(dataset.full_view(), cfg.depth)
-    total = total_cost(result.value, cfg.lam)
+    result = solver.solve(dataset.full_view(), args.depth)
+    total = total_cost(result.value, args.lam)
     record = {"tree": to_dict(result.tree), "total_cost": total,
               "num_leaves": num_leaves(result.tree)}
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         print(json.dumps(record, separators=(",", ":")), file=out)
     _summary(total_cost=f"{total:.10g}", num_leaves=num_leaves(result.tree))
     return 0
 
 
-def _make_enum(cfg: RunConfig, dataset, **extra) -> RashomonEnumeration:
+def _make_enum(args, dataset) -> RashomonEnumeration:
     return RashomonEnumeration(
-        dataset, cfg.depth, lam=cfg.lam, epsilon=cfg.epsilon,
-        max_trees=cfg.max_trees, tolerance=cfg.tolerance,
-        suppress_trivial=cfg.no_trivial_extensions, **extra)
+        dataset, args.depth, lam=args.lam, epsilon=args.epsilon,
+        max_trees=args.max_trees, tolerance=args.tolerance,
+        suppress_trivial=args.no_trivial_extensions)
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    dataset = _load(cfg)
+def cmd_enumerate(args) -> int:
+    dataset = _load(args)
     start = time.monotonic()
-    enum = _make_enum(cfg, dataset)
+    enum = _make_enum(args, dataset)
     trees = 0
     groups = 0
     last_value = None
-    with _out_stream(cfg.out) as out:
-        if cfg.out_format == "csv":
+    with _out_stream(args.out) as out:
+        if args.out_format == "csv":
             print("rank,total_cost", file=out)
         for emitted in enum.groups():
             groups += 1
             last_value = emitted.total_cost
-            if cfg.out_format == "jsonl":
-                budget = (None if cfg.max_trees is None
-                          else cfg.max_trees - trees)
+            budget = (None if args.max_trees is None
+                      else args.max_trees - trees)
+            if args.out_format == "jsonl":
                 for tree in materialize(emitted.group, budget):
                     rec = {"objective": emitted.total_cost,
                            "tree": to_dict(tree)}
                     print(json.dumps(rec, separators=(",", ":")), file=out)
                     trees += 1
-            elif cfg.out_format == "csv":
-                budget = (emitted.count if cfg.max_trees is None
-                          else min(emitted.count, cfg.max_trees - trees))
-                for _ in range(budget):
+            elif args.out_format == "csv":
+                for _ in range(emitted.count if budget is None
+                               else min(emitted.count, budget)):
                     trees += 1
                     print(f"{trees},{emitted.total_cost:.10g}", file=out)
             else:
                 rec = {"index": emitted.index,
                        "total_cost": emitted.total_cost,
                        "count": emitted.count}
-                if cfg.out_format == "groups":
+                if args.out_format == "groups":
                     rec["trees"] = [to_dict(t) for t
-                                    in materialize(emitted.group)]
+                                    in materialize(emitted.group, budget)]
                 print(json.dumps(rec, separators=(",", ":")), file=out)
                 trees += emitted.count
             out.flush()
@@ -230,28 +200,34 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_find_multiplier(cfg: RunConfig, powers) -> int:
-    dataset = _load(cfg)
+def cmd_find_multiplier(args) -> int:
+    try:
+        powers = [int(t) for t in args.powers.split(",") if t.strip()]
+    except ValueError:
+        powers = None
+    if not powers or any(p < 0 for p in powers):
+        raise ValueError("bad --powers value")
+    dataset = _load(args)
     targets = [10 ** p for p in powers]
     results = find_min_multipliers(
-        dataset, cfg.depth, cfg.lam, targets, tolerance=cfg.tolerance,
-        suppress_trivial=cfg.no_trivial_extensions)
-    with _out_stream(cfg.out) as out:
+        dataset, args.depth, args.lam, targets, tolerance=args.tolerance,
+        suppress_trivial=args.no_trivial_extensions)
+    with _out_stream(args.out) as out:
         print("dataset,target,epsilon,achieved_count", file=out)
         for target, res in zip(targets, results):
             eps = "undefined" if res.epsilon is None else f"{res.epsilon:.10g}"
-            print(f"{cfg.data},{target},{eps},{res.achieved_count}", file=out)
+            print(f"{args.data},{target},{eps},{res.achieved_count}", file=out)
     return 0
 
 
-def cmd_lofo(cfg: RunConfig) -> int:
-    dataset = _load(cfg)
-    result = lofo_importance(dataset, cfg.depth, cfg.lam, cfg.max_trees,
-                             tolerance=cfg.tolerance,
-                             suppress_trivial=cfg.no_trivial_extensions)
+def cmd_lofo(args) -> int:
+    dataset = _load(args)
+    result = lofo_importance(dataset, args.depth, args.lam, args.max_trees,
+                             tolerance=args.tolerance,
+                             suppress_trivial=args.no_trivial_extensions)
     ranking = result.ranking()
     rank_of = {f: i + 1 for i, f in enumerate(ranking)}
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         print("feature,score,rank", file=out)
         for f in sorted(result.scores):
             print(f"{f},{result.scores[f]:.10g},{rank_of[f]}", file=out)
@@ -259,79 +235,62 @@ def cmd_lofo(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pareto(cfg: RunConfig) -> int:
-    if cfg.delta is not None and not 0 <= cfg.delta < math.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {cfg.delta}")
-    dataset = _load(cfg)
-    spec = eq_opportunity_spec(dataset, cfg.sensitive_feature,
-                               cfg.positive_class)
-    enum = _make_enum(cfg, dataset)
+def cmd_pareto(args) -> int:
+    if args.delta is not None and not 0 <= args.delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {args.delta}")
+    dataset = _load(args)
+    spec = eq_opportunity_spec(dataset, args.sensitive_feature,
+                               args.positive_class)
+    enum = _make_enum(args, dataset)
     front = ParetoFront()
     evaluated = []
     winner = None  # first record, in primary order, with |disc| <= delta
     for total, stat, witness in evaluate_secondary(enum.groups(), spec):
         accuracy, disc = spec.finalize(stat)
         front.add((-accuracy, abs(disc)), witness)
-        if cfg.all_points:
+        if args.all_points:
             evaluated.append((accuracy, disc, num_leaves(witness)))
-        if winner is None and cfg.delta is not None and abs(disc) <= cfg.delta:
+        if (winner is None and args.delta is not None
+                and abs(disc) <= args.delta):
             winner = {"tree": to_dict(witness), "accuracy": accuracy,
                       "discrimination": disc, "total_cost": total}
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         print("kind,accuracy,discrimination,leaves", file=out)
         for p in front.points():
             print(f"front,{-p.coordinates[0]:.10g},{p.coordinates[1]:.10g},"
                   f"{p.tree_size}", file=out)
         for acc, disc, leaves in evaluated:
             print(f"point,{acc:.10g},{disc:.10g},{leaves}", file=out)
-    if cfg.delta is not None:
+    if args.delta is not None:
         _summary(constrained="exhausted" if winner is None else
                  json.dumps(winner, separators=(",", ":")))
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    dataset = generate_dataset(cfg.samples, cfg.features, cfg.seed,
-                               noise=cfg.noise, task=cfg.task)
-    with _out_stream(cfg.out) as out:
+def cmd_synth(args) -> int:
+    dataset = generate_dataset(args.samples, args.features, args.seed,
+                               noise=args.noise, task=args.task)
+    with _out_stream(args.out) as out:
         out.write(serialize_dataset(dataset))
     _summary(samples=dataset.num_samples, features=dataset.num_features)
     return 0
 
 
+COMMANDS = {"solve": cmd_solve, "enumerate": cmd_enumerate,
+            "find-multiplier": cmd_find_multiplier, "lofo": cmd_lofo,
+            "pareto": cmd_pareto, "synth": cmd_synth}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    powers = None
-    if args.command == "find-multiplier":
-        try:
-            powers = [int(t) for t in args.powers.split(",") if t.strip()]
-            if not powers or any(p < 0 for p in powers):
-                raise ValueError
-        except ValueError:
-            print("rashenum: error: bad --powers value", file=sys.stderr)
-            return 1
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in known})
+    args = build_parser().parse_args(argv)
+    max_trees = getattr(args, "max_trees", None)
     try:
-        if cfg.max_trees is not None and cfg.max_trees < 1:
-            raise ValueError(f"--max-trees must be >= 1, got {cfg.max_trees}")
-        if (args.command in ("enumerate", "pareto") and cfg.epsilon is None
-                and cfg.max_trees is None):
+        if max_trees is not None and max_trees < 1:
+            raise ValueError(f"--max-trees must be >= 1, got {max_trees}")
+        if (args.command in ("enumerate", "pareto") and args.epsilon is None
+                and max_trees is None):
             raise ValueError(f"{args.command} needs --epsilon or --max-trees")
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "find-multiplier":
-            return cmd_find_multiplier(cfg, powers)
-        if args.command == "lofo":
-            return cmd_lofo(cfg)
-        if args.command == "pareto":
-            return cmd_pareto(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        return 1
+        return COMMANDS[args.command](args)
     except (DataError, FileNotFoundError, PermissionError) as exc:
         print(f"rashenum: data error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from .dataset import fingerprint, split, split_side
@@ -306,7 +307,7 @@ class Engine:
     """One enumeration run's shared state: config, caches, feature set."""
 
     def __init__(self, dataset, config: ObjectiveConfig, suppress_trivial=False,
-                 excluded_features=(), use_cache=True, use_depth2=True):
+                 excluded_features=(), use_depth2=True):
         self.dataset = dataset
         self.config = config
         self.suppress = suppress_trivial
@@ -316,7 +317,6 @@ class Engine:
                 raise IndexError(f"feature index {f} out of range")
         self.features = [f for f in range(dataset.num_features)
                          if f not in excluded]
-        self.use_cache = use_cache
         self.use_depth2 = use_depth2
         self.solver = OptimalSolver(dataset, config, self.features, use_depth2)
         self.node_cache = {}
@@ -324,8 +324,6 @@ class Engine:
         self.tol = config.equality_tolerance
 
     def node(self, view, depth, ub) -> SearchNode:
-        if not self.use_cache:
-            return SearchNode(self, view, depth, ub)
         key = fingerprint(view, depth)
         node = self.node_cache.get(key)
         if node is None:
@@ -358,7 +356,12 @@ class RashomonEnumeration:
 
     def __init__(self, dataset, depth, lam=0.01, epsilon=None, max_trees=None,
                  theta=None, suppress_trivial=False, excluded_features=(),
-                 tolerance=None, use_cache=True, use_depth2=True):
+                 tolerance=None, use_depth2=True):
+        try:
+            depth = operator.index(depth)
+        except TypeError:
+            raise ValueError(
+                f"depth must be an integer, got {depth!r}") from None
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if epsilon is None and max_trees is None and theta is None:
@@ -373,7 +376,7 @@ class RashomonEnumeration:
         self.engine = Engine(dataset, self.config,
                              suppress_trivial=suppress_trivial,
                              excluded_features=excluded_features,
-                             use_cache=use_cache, use_depth2=use_depth2)
+                             use_depth2=use_depth2)
         self.depth = depth
         self.max_trees = max_trees
         root_view = dataset.full_view()

@@ -106,10 +106,6 @@ class SolutionGroup:
         self.view = view
         self._count = {}
 
-    def add(self, entry):
-        self.entries.append(entry)
-        self._count.clear()
-
     def extend(self, entries):
         self.entries.extend(entries)
         self._count.clear()

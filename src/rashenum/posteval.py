@@ -3,10 +3,12 @@
 A secondary objective is separable: a per-leaf statistic tuple plus an
 associative combine step, finalized into objective coordinates. Evaluation
 walks the emitted solution-group DAG bottom-up, deduplicating statistic
-tuples per group, so groups with astronomically many trees but few distinct
-statistics stay cheap. Includes the equality-of-opportunity statistic, a
-Pareto front, and a group-by-group constrained search for the most accurate
-tree meeting a secondary constraint.
+tuples per group. A pair combines each distinct record of its left group
+with each of its right group's, never more steps than the pair has trees,
+so the cost follows the number of distinct statistics, not of trees, and no
+group is walked tree by tree. Includes the equality-of-opportunity
+statistic, a Pareto front, and a group-by-group constrained search for the
+most accurate tree meeting a secondary constraint.
 """
 from __future__ import annotations
 
@@ -17,8 +19,6 @@ from .engine import DEFAULT_EPSILON, RashomonEnumeration
 from .groups import LeafEntry, TreeEntry
 from .objective import distinct_leaf_labels
 from .trees import num_leaves
-
-DEFAULT_COMBO_CAP = 4096
 
 
 class UndefinedMetricError(ValueError):
@@ -56,7 +56,7 @@ def stat_of_tree(tree, view, spec: SecondaryObjectiveSpec):
                                    stat_of_tree(tree[3], right_view, spec)))
 
 
-def _group_records(group, spec, combo_cap, memo):
+def _group_records(group, spec, memo):
     """Distinct (stat, witness, leaf_info) records for one solution group."""
     key = id(group)
     hit = memo.get(key)
@@ -67,7 +67,6 @@ def _group_records(group, spec, combo_cap, memo):
     def put(rec):
         records.setdefault((rec.stat, rec.leaf_info), rec)
 
-    overflow = False
     for entry in group.entries:
         if isinstance(entry, LeafEntry):
             stat = tuple(spec.leaf_stat(group.view, entry.prediction))
@@ -77,27 +76,14 @@ def _group_records(group, spec, combo_cap, memo):
             put(_Record(stat_of_tree(entry.tree, group.view, spec), entry.tree))
         else:
             for pair in entry.pairs:
-                lrecs = _group_records(pair.left, spec, combo_cap, memo)
-                rrecs = _group_records(pair.right, spec, combo_cap, memo)
+                lrecs = _group_records(pair.left, spec, memo)
+                rrecs = _group_records(pair.right, spec, memo)
                 for lrec in lrecs:
                     for rrec in rrecs:
                         combined = _combine_pair(entry.feature, pair, lrec,
                                                  rrec, spec)
                         if combined is not None:
                             put(combined)
-                if len(records) > combo_cap:
-                    overflow = True
-                    break
-        if overflow or len(records) > combo_cap:
-            overflow = True
-            break
-    if overflow:
-        # per-tree fallback: exact but only viable for enumerable groups
-        records = {}
-        for tree, alts in group.iter_trees():
-            stat = stat_of_tree(tree, group.view, spec)
-            info = (tree[1], alts) if tree[0] == "leaf" and alts is not None else None
-            records.setdefault((stat, info), _Record(stat, tree, info))
     out = tuple(records.values())
     memo[key] = out
     return out
@@ -123,8 +109,7 @@ def _combine_pair(feature, pair, lrec, rrec, spec):
                    ("split", feature, lwit, rwit))
 
 
-def evaluate_secondary(groups, spec: SecondaryObjectiveSpec,
-                       combo_cap=DEFAULT_COMBO_CAP):
+def evaluate_secondary(groups, spec: SecondaryObjectiveSpec):
     """Yield (primary total cost, StatTuple, witness tree) over emitted groups.
 
     One record per distinct statistic tuple per group, in emission order.
@@ -132,7 +117,7 @@ def evaluate_secondary(groups, spec: SecondaryObjectiveSpec,
     memo = {}
     for emitted in groups:
         seen = set()
-        for rec in _group_records(emitted.group, spec, combo_cap, memo):
+        for rec in _group_records(emitted.group, spec, memo):
             if rec.stat in seen:
                 continue
             seen.add(rec.stat)
@@ -235,8 +220,7 @@ class ConstrainedSearchResult:
 
 
 def batched_constrained_search(dataset, depth, lam, spec, constraint,
-                               epsilon=None, combo_cap=DEFAULT_COMBO_CAP,
-                               **enum_kwargs):
+                               epsilon=None, **enum_kwargs):
     """First tree (in primary-objective order) whose finalized secondary
     objective satisfies the constraint; None when the Rashomon set is
     exhausted without a match.
@@ -252,7 +236,7 @@ def batched_constrained_search(dataset, depth, lam, spec, constraint,
     memo = {}
     considered = 0
     for emitted in enum.groups():
-        for rec in _group_records(emitted.group, spec, combo_cap, memo):
+        for rec in _group_records(emitted.group, spec, memo):
             if constraint(spec.finalize(rec.stat)):
                 return ConstrainedSearchResult(
                     rec.witness, tuple(spec.finalize(rec.stat)),

@@ -88,6 +88,31 @@ class TestEnumerate:
             record = json.loads(line)
             assert record["count"] == len(record["trees"])
 
+    def test_groups_format_lists_the_max_trees_budget(self, capsys, tmp_path,
+                                                      data_file):
+        """Each group lists at most the trees left in the --max-trees
+        budget, the same trees as jsonl, and keeps its exact count. On the
+        small file every group fits and lists all its trees; on the large
+        one the first group holds 3 978 834 744 trees."""
+        big = tmp_path / "big.txt"
+        assert main(["synth", "--samples", "150", "--features", "8",
+                     "--seed", "3", "--out", str(big)]) == 0
+        for path, depth, fits in ((data_file, "2", True), (big, "4", False)):
+            argv = ["enumerate", "--data", str(path), "--depth", depth,
+                    "--lambda", "0", "--max-trees", "3000"]
+            code, out, _ = run(capsys, argv + ["--out-format", "groups"])
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            listed = [tree for record in records for tree in record["trees"]]
+            code, jsonl, _ = run(capsys, argv)
+            assert code == 0
+            assert listed == [json.loads(line)["tree"]
+                              for line in jsonl.splitlines()]
+            assert fits == all(len(record["trees"]) == record["count"]
+                               for record in records)
+        assert len(listed) == 3000
+        assert records[0]["count"] == 3978834744
+
     def test_max_trees_caps_jsonl_lines(self, capsys, data_file):
         code, out, _ = run(capsys, ["enumerate", "--data", str(data_file),
                                     "--depth", "2", "--max-trees", "4"])

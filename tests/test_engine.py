@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,8 +121,13 @@ class TestEnumerationApi:
             RashomonEnumeration(ds, 2, **{"lam": 0.01, **kwargs})
 
     def test_negative_depth_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            RashomonEnumeration(tiny_dataset, -1, lam=0.01, epsilon=0.1)
+        for depth in (-1, 2.5):
+            with pytest.raises(ValueError):
+                RashomonEnumeration(tiny_dataset, depth, lam=0.01,
+                                    epsilon=0.1)
+        enum = RashomonEnumeration(tiny_dataset, np.int64(2), lam=0.01,
+                                   epsilon=0.1)
+        assert enum.depth == 2
 
     def test_bad_excluded_feature(self, tiny_dataset):
         with pytest.raises(IndexError):
@@ -163,6 +169,9 @@ class TestEnumerationApi:
 class TestEngineEquivalences:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cache_and_depth2_transparent(self, seed):
+        """The generic recursion gives the table path's groups. Depth 3
+        shares no node, so node sharing is checked at depth 4 in
+        ``test_shared_nodes_equal_oracle``."""
         ds = random_dataset(seed + 600, 18, 4)
 
         def run(**kw):
@@ -171,10 +180,24 @@ class TestEngineEquivalences:
                      sorted(map(repr, materialize(em.group))))
                     for em in enum.groups()]
 
-        baseline = run()
-        assert run(use_cache=False) == baseline
-        assert run(use_depth2=False) == baseline
-        assert run(use_cache=False, use_depth2=False) == baseline
+        assert run(use_depth2=False) == run()
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.5])
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_shared_nodes_equal_oracle(self, seed, suppress, epsilon):
+        """At depth 4 a depth-2 subproblem is reached along two paths (f
+        then g, and g then f), so the node cache shares it, and a later
+        path can raise its bound; the whole set still equals the oracle's."""
+        ds = random_dataset(seed, 14, 4)
+        enum = RashomonEnumeration(ds, 4, lam=0.01, epsilon=epsilon,
+                                   suppress_trivial=suppress, tolerance=1e-9)
+        got = sorted((round(em.total_cost, 9), t) for em in enum.groups()
+                     for t in materialize(em.group))
+        assert enum.engine.stats["cache_hits"] > 0
+        expect, _, _ = oracle_rashomon(oracle_structures(ds, 4, suppress),
+                                       0.01, epsilon)
+        assert got == sorted((round(c, 9), t) for c, t in expect)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_values_strictly_increase_and_counts_match(self, seed):

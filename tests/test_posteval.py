@@ -92,17 +92,6 @@ class TestEvaluateSecondary:
                     stat_of_tree(tree, ds.full_view(), spec))
         assert dag == brute
 
-    def test_combo_cap_fallback_is_exact(self):
-        ds = random_dataset(905, 18, 4)
-        spec = eq_opportunity_spec(ds, 0, 1)
-        enum = RashomonEnumeration(ds, 3, lam=0.01, epsilon=0.8)
-        emitted = list(enum.groups())
-        wide = {(round(c, 9), s) for c, s, _
-                in evaluate_secondary(emitted, spec, combo_cap=4096)}
-        narrow = {(round(c, 9), s) for c, s, _
-                  in evaluate_secondary(emitted, spec, combo_cap=1)}
-        assert wide == narrow
-
     def test_suppressed_enumeration_stats_match(self):
         ds = random_dataset(906, 16, 3)
         spec = eq_opportunity_spec(ds, 0, 1)
