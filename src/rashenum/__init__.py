@@ -13,8 +13,8 @@ from .dataset import (BinaryDataset, DataError, DataView, binarize_numeric,
                       serialize_dataset, split)
 from .engine import (DEFAULT_EPSILON, EmittedGroup, Engine,
                      RashomonEnumeration, enumerate_rashomon)
-from .groups import (BranchEntry, LeafEntry, Pair, SolutionGroup, TreeEntry,
-                     count_trees, materialize)
+from .groups import (BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees,
+                     materialize)
 from .objective import (DEFAULT_TOLERANCE, LeafSolution, ObjectiveConfig,
                         combine, leaf_cost, rashomon_bound, total_cost,
                         value_le, values_equal)
@@ -39,7 +39,7 @@ __all__ = [
     "MultiplierResult", "ObjectiveConfig", "OptResult", "OptimalSolver",
     "Pair", "ParetoFront", "ParetoPoint", "RashomonCurve",
     "RashomonEnumeration", "SecondaryObjectiveSpec", "SolutionGroup",
-    "TreeEntry", "UndefinedMetricError", "batched_constrained_search",
+    "UndefinedMetricError", "batched_constrained_search",
     "binarize_numeric", "combine", "count_trees", "enumerate_rashomon",
     "eq_opportunity_spec", "evaluate_cost", "evaluate_secondary",
     "features_used", "find_min_multiplier", "find_min_multipliers",

@@ -19,6 +19,7 @@ from .dataset import DataError, load_dataset, serialize_dataset
 from .engine import RashomonEnumeration
 from .groups import materialize
 from .objective import ObjectiveConfig
+from .optdp import OptimalSolver, check_depth
 from .posteval import ParetoFront, eq_opportunity_spec, evaluate_secondary
 from .synth import generate_dataset
 from .trees import num_leaves, to_dict
@@ -131,12 +132,10 @@ def _summary(**kv):
 
 
 def cmd_solve(args) -> int:
-    if args.depth < 0:
-        raise ValueError("depth must be >= 0")
+    check_depth(args.depth)
     dataset = _load(args)
     config = ObjectiveConfig(task=dataset.task, lam=args.lam,
                              equality_tolerance=args.tolerance)
-    from .optdp import OptimalSolver
     from .objective import total_cost
 
     solver = OptimalSolver(dataset, config)

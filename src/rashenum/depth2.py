@@ -16,16 +16,18 @@ sub-split) stump, with the floats and the tie rule of the scalar leaf
 kernel ``objective.best_leaf``. Tables and optima are built for a stack of
 sibling views at once (``stacked_depth2``); one view is a stack of one. The
 optimum (``depth2_optimal``) and the search node's side lists
-(``generate_depth2``) both read the table; a side list is a sorted slice of
-it, built when a search node first opens the side. A depth <= 2 tree is one
-(root, left side, right side) combination, each side a leaf or a depth-1
-subtree, so no tree is emitted twice.
+(``generate_depth2``) both read the table. A side list is a branch helper's
+child: a slice of the table, sorted into plain lists when the helper opens
+it, whose value groups are (start, end) slices (``groups.SideGroup``), so no
+object is built per item. A depth <= 2 tree is one (root, left side, right
+side) combination, each side a leaf or a depth-1 subtree, so no tree is
+emitted twice.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import LeafEntry, TreeEntry
+from .groups import LeafEntry, SideGroup
 from .objective import LeafSolution, distinct_leaf_labels
 
 # bytes of transient arrays one counting or table pass may hold at once
@@ -80,9 +82,8 @@ def _pair_counts(rows, cols):
     return out.reshape(rows.shape[:-1] + (len(cols),))
 
 
-def compute_counts(view, config=None):
-    """Cell statistics of a view; ``config`` is not read (the task is the
-    dataset's).
+def compute_counts(view):
+    """Cell statistics of a view, for the dataset's task.
 
     Classification counts are popcounts of the view's members of each class
     and the packed feature columns: exact integers at any size.
@@ -308,16 +309,17 @@ def side_table(counts, features, depth):
 
 class _Sides:
     """What a depth <= 2 node's side lists share: the counts, the table,
-    lambda (None at depth 1, where a side list is its leaf) and whether
-    suppression is on."""
+    lambda (None at depth 1, where a side list is its leaf), whether
+    suppression is on and the value tolerance."""
 
-    __slots__ = ("counts", "table", "lam", "suppress")
+    __slots__ = ("counts", "table", "lam", "suppress", "tol")
 
-    def __init__(self, counts, table, lam, suppress):
+    def __init__(self, counts, table, lam, suppress, tol):
         self.counts = counts
         self.table = table
         self.lam = lam
         self.suppress = suppress
+        self.tol = tol
 
     def stumps(self, s=slice(None), k=slice(None)):
         """Stump values with lambda, ``inf`` where suppression rejects one:
@@ -329,77 +331,108 @@ class _Sides:
 
 
 class SideList:
-    """One side of a root split: its optimum now, its items when opened.
+    """One side of a root split, a branch helper's child: its optimum now,
+    its items grouped by value once opened.
 
     The items are the side's leaf and, at depth 2, its depth-1 subtrees
     whose cells are both non-empty (and, under suppression, that keep two
-    distinct labels), read off the table.
+    distinct labels), read off the table. A group is a ``SideGroup``, a
+    slice of the sorted items; groups are built only up to the index asked
+    for. The list is fixed, so raising its bound changes nothing.
     """
 
-    __slots__ = ("sides", "root", "side", "value")
+    __slots__ = ("sides", "root", "side", "value", "ssl", "values", "feats",
+                 "lefts", "rights", "at", "_leaf")
 
     def __init__(self, sides, root, side, value):
         self.sides = sides
         self.root = root
         self.side = side
         self.value = value        # the least item value
+        self.ssl = []
+        self._leaf = None
 
     def open(self):
-        """The items in value order, stable: the leaf, then subtrees in
-        features order, among equal values.
-
-        Returns (values, make): every item's value, and a function building
-        the solution-group entries of items [start, end).
-        """
+        """Sort the items by value, stably (the leaf, then subtrees in
+        features order, among equal values), into plain lists: ``values``,
+        the sub-split ``feats`` (None at the leaf), the ``lefts`` and
+        ``rights`` labels, and the leaf's position ``at``. Returns the side
+        list."""
         sides, k, s = self.sides, self.root, self.side
         t = sides.table
         leaf = t.leaf[s, k:k + 1]
+        self.at = 0
         if sides.lam is None:
-            return leaf.tolist(), lambda start, end: [self._leaf()]
+            self.values = leaf.tolist()
+            self.feats = self.lefts = self.rights = [None]
+            return self
         row = sides.stumps(s, k)
         keep = np.flatnonzero(row < np.inf)
         values = np.concatenate((leaf, row[keep]))
         order = np.argsort(values, kind="stable")
         subs = np.concatenate(([-1], keep))[order]      # -1: the leaf
         lefts, rights = t.pred[2 * s, k, subs], t.pred[2 * s + 1, k, subs]
-        at = int(order.argmin())                        # the leaf's place
-        # under suppression, the subtrees whose leaves share one label
-        same = ([p for p in np.flatnonzero(lefts == rights).tolist()
-                 if p != at] if sides.suppress else ())
-        feats, lefts, rights = (t.idx[subs].tolist(), lefts.tolist(),
-                                rights.tolist())
+        self.at = int(order.argmin())
+        self.values = values[order].tolist()
+        self.feats = t.idx[subs].tolist()
+        self.feats[self.at] = None
+        self.lefts, self.rights = lefts.tolist(), rights.tolist()
+        return self
 
-        def make(start, end):
-            out = list(map(TreeEntry, feats[start:end], lefts[start:end],
-                           rights[start:end]))
-            if start <= at < end:
-                out[at - start] = self._leaf()
-            for p in same:
-                if start <= p < end:
-                    self._relabel(out[p - start], subs[p])
-            return out
+    def get_nth(self, index):
+        ssl, values, tol = self.ssl, self.values, self.sides.tol
+        while len(ssl) <= index:
+            start = end = ssl[-1].end if ssl else 0
+            if start == len(values):
+                return None
+            value = values[start]
+            while end < len(values) and abs(value - values[end]) <= tol:
+                end += 1            # objective.values_equal, inlined
+            ssl.append(SideGroup(value, self, start, end))
+        return ssl[index]
 
-        return values[order].tolist(), make
+    def raise_ub(self, new_ub):
+        pass
 
-    def _leaf(self):
-        """The side's leaf entry; it keeps its tied alternatives for the
-        parent pair's suppression filter."""
-        counts, k, s = self.sides.counts, self.root, self.side
-        t = self.sides.table
-        return LeafEntry(t.leaf_pred[s, k].item(), _alternatives(
-            counts.dataset, counts.side(t.features[k], bool(s))))
+    def leaf(self):
+        """The side's leaf entry, built on first use; it keeps its tied
+        alternatives for the parent pair's suppression filter."""
+        if self._leaf is None:
+            counts, k, s = self.sides.counts, self.root, self.side
+            t = self.sides.table
+            self._leaf = LeafEntry(t.leaf_pred[s, k].item(), _alternatives(
+                counts.dataset, counts.side(t.features[k], bool(s))))
+        return self._leaf
 
-    def _relabel(self, entry, sub):
-        """Move a subtree off its shared label to a tied one, as
+    def trees(self, start, end):
+        """(tree, alternatives) of items [start, end): the leaf's tied
+        labels, or None for a subtree. Under suppression a subtree whose
+        leaves share one label is relabelled."""
+        out = [(("split", f, ("leaf", left), ("leaf", right)), None)
+               for f, left, right in zip(self.feats[start:end],
+                                         self.lefts[start:end],
+                                         self.rights[start:end])]
+        if start <= self.at < end:
+            leaf = self.leaf()
+            out[self.at - start] = leaf.tree(), leaf.alternatives
+        if self.sides.suppress:
+            for p in range(start, end):
+                if p != self.at and self.lefts[p] == self.rights[p]:
+                    out[p - start] = self._relabelled(p), None
+        return out
+
+    def _relabelled(self, p):
+        """Subtree p moved off its shared label to a tied one, as
         ``distinct_leaf_labels`` does; the subtrees without one were left
         out of the list (``SideTable.rejected``)."""
-        counts, t, s = self.sides.counts, self.sides.table, self.side
-        a, b, c, d = counts.quad(t.features[self.root], t.features[sub])
-        neg, pos = (d, c) if s else (b, a)
+        counts, t, f = self.sides.counts, self.sides.table, self.feats[p]
+        a, b, c, d = counts.quad(t.features[self.root], f)
+        neg, pos = (d, c) if self.side else (b, a)
         ds = counts.dataset
-        entry.left, entry.right = distinct_leaf_labels(
-            entry.left, _alternatives(ds, neg), entry.right,
+        left, right = distinct_leaf_labels(
+            self.lefts[p], _alternatives(ds, neg), self.rights[p],
             _alternatives(ds, pos))
+        return ("split", f, ("leaf", left), ("leaf", right))
 
 
 def generate_depth2(counts, config, depth, features, suppress):
@@ -408,14 +441,15 @@ def generate_depth2(counts, config, depth, features, suppress):
     Returns (feature, left, right) per root feature whose sides are both
     non-empty, each side a ``SideList``: its optimum, the least of its leaf
     and its subtrees, read off the view's table now, and its items, a
-    sorted table slice, when a search node opens it. The search node
-    merges the two lists lazily, so no tree is built here.
+    sorted table slice, when a branch helper opens it. The helper merges
+    the two lists lazily, so no tree is built here.
     """
     feats = tuple(features)
     if depth < 1 or not feats:
         return []
     t = side_table(counts, feats, depth)
-    sides = _Sides(counts, t, config.lam if depth >= 2 else None, suppress)
+    sides = _Sides(counts, t, config.lam if depth >= 2 else None, suppress,
+                   config.equality_tolerance)
     optima = t.leaf
     if depth >= 2:
         optima = np.minimum(optima, sides.stumps().min(axis=2))

@@ -4,27 +4,25 @@ Each search node owns a sorted list of solution groups for one (sample
 subset, depth budget) subproblem and builds it one way: a leaf helper plus
 one branch helper per root feature, each merging its two children's sorted
 lists lazily (a heap frontier over index pairs). A deeper node's children
-are search nodes; a depth <= 2 node's children are its root's two side
-lists, slices of the view's depth-two side table (``depth2.generate_depth2``)
-sorted when first opened and grouped by value on demand, so its two- and
-three-split trees are pairs of side groups. Nodes are shared through a
-cache keyed by the sample subset, carrying the maximum upper bound seen
-among sharers.
+are search nodes; a depth <= 2 node's children are its root's two
+``depth2.SideList``s, slices of the view's depth-two side table
+(``depth2.generate_depth2``) sorted when the helper opens them and grouped
+by value on demand, so its two- and three-split trees are pairs of side
+groups. Nodes are shared through a cache keyed by the sample subset,
+carrying the maximum upper bound seen among sharers.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 
-from .dataset import fingerprint, split, split_side
+from .dataset import fingerprint, split
 from .depth2 import generate_depth2, table_leaf
-from .groups import (BranchEntry, LeafEntry, Pair, SideGroup, SolutionGroup,
-                     count_trees)
+from .groups import BranchEntry, LeafEntry, Pair, SolutionGroup, count_trees
 from .objective import (ObjectiveConfig, leaf_cost, rashomon_bound,
                         total_cost, value_le, values_equal)
-from .optdp import OptimalSolver
+from .optdp import OptimalSolver, check_depth
 
 DEFAULT_EPSILON = 1e6
 
@@ -132,41 +130,6 @@ class BranchHelper:
             heapq.heappush(self.cq, (gl.value + gr.value + self.lam, li, ri))
 
 
-class SideNode:
-    """One side of a depth <= 2 node's root split: its side list (a
-    ``depth2.SideList``, a sorted slice of the view's side table) grouped
-    by value.
-
-    Opened when a branch helper first reads the side; groups are built only
-    up to the index asked for, and the list is dropped once all are built.
-    Its list is fixed, so raising its bound changes nothing.
-    """
-
-    def __init__(self, view, side, tol):
-        self.view = view
-        self.tol = tol
-        self.ssl = []
-        self._values, self._make = side.open()
-        self._next = 0              # the first item not yet grouped
-
-    def get_nth(self, index):
-        ssl = self.ssl
-        while len(ssl) <= index and self._values:
-            values, tol = self._values, self.tol
-            start = end = self._next
-            value = values[start]
-            while end < len(values) and abs(value - values[end]) <= tol:
-                end += 1            # objective.values_equal, inlined
-            ssl.append(SideGroup(value, self._make(start, end), self.view))
-            self._next = end
-            if end == len(values):
-                self._values = self._make = None
-        return ssl[index] if index < len(ssl) else None
-
-    def raise_ub(self, new_ub):
-        pass
-
-
 class SearchNode:
     """Per-subproblem enumeration state: sorted solution list plus helpers."""
 
@@ -222,14 +185,9 @@ class SearchNode:
         counts = eng.solver.counts(self.view)
         self._pool = generate_depth2(counts, eng.config, self.depth,
                                      eng.features, eng.suppress)
-        view, tol = self.view, eng.tol
-
-        def side(f, items, satisfied):
-            return lambda: SideNode(split_side(view, f, satisfied), items, tol)
-
         return (table_leaf(counts),
-                [(f, left.value, right.value, side(f, left, False),
-                  side(f, right, True)) for f, left, right in self._pool])
+                [(f, left.value, right.value, left.open, right.open)
+                 for f, left, right in self._pool])
 
     def _split_roots(self):
         """Any depth: the leaf and one split per feature, children solved."""
@@ -357,13 +315,7 @@ class RashomonEnumeration:
     def __init__(self, dataset, depth, lam=0.01, epsilon=None, max_trees=None,
                  theta=None, suppress_trivial=False, excluded_features=(),
                  tolerance=None, use_depth2=True):
-        try:
-            depth = operator.index(depth)
-        except TypeError:
-            raise ValueError(
-                f"depth must be an integer, got {depth!r}") from None
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        depth = check_depth(depth)
         if epsilon is None and max_trees is None and theta is None:
             raise ValueError("provide at least one of epsilon, max_trees, theta")
         for name, value in (("epsilon", epsilon), ("theta", theta)):

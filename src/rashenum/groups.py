@@ -2,7 +2,8 @@
 
 A SolutionGroup holds entries that are either a bare leaf or a branch entry
 referencing pairs of child groups; a SideGroup, a depth-two side list's
-group, holds leaves and one-split subtrees. References form a DAG, so tree
+group, is a slice of the side's sorted leaf and one-split subtrees, read
+off its lists without an object per item. References form a DAG, so tree
 counts are products and sums over the structure, kept in arbitrary
 precision.
 """
@@ -25,26 +26,6 @@ class LeafEntry:
 
     def tree(self):
         return ("leaf", self.prediction)
-
-
-class TreeEntry:
-    """A depth-1 subtree of a depth-two side list: its split feature and
-    its two leaf predictions. The ``tree`` tuple is built on first access
-    and kept, so an entry never materialised holds no tuple."""
-
-    __slots__ = ("feature", "left", "right", "tree")
-
-    def __init__(self, feature, left, right):
-        self.feature = feature
-        self.left = left
-        self.right = right
-
-    def __getattr__(self, name):  # only reached while a slot is unset
-        if name != "tree":
-            raise AttributeError(name)
-        self.tree = ("split", self.feature, ("leaf", self.left),
-                     ("leaf", self.right))
-        return self.tree
 
 
 class Pair:
@@ -118,8 +99,6 @@ class SolutionGroup:
         for entry in self.entries:
             if isinstance(entry, LeafEntry):
                 yield entry.tree(), entry.alternatives
-            elif isinstance(entry, TreeEntry):
-                yield entry.tree, None
             else:
                 for pair in entry.pairs:
                     for tree in pair.iter_subtrees(entry.feature):
@@ -130,25 +109,40 @@ class SolutionGroup:
                 f"entries={len(self.entries)})")
 
 
-class SideGroup(SolutionGroup):
-    """A depth-two side list's group: ``LeafEntry`` and ``TreeEntry`` items
-    only, each one tree. Its count is its length, less the subtrees on the
-    feature to avoid; the subtrees per feature are tallied on the first
-    count that avoids one."""
+class SideGroup:
+    """One value group of a depth-two side list (``depth2.SideList``): the
+    slice [start, end) of its sorted items, each a leaf or a one-split
+    subtree, so one tree each. It holds no item objects. Its count is the
+    slice length, less the subtrees on the feature to avoid (tallied on the
+    first count that avoids one); its trees are built from the side's lists
+    on first iteration and kept."""
 
-    __slots__ = ("_stumps",)
+    __slots__ = ("value", "side", "start", "end", "_stumps", "_trees")
 
-    def __init__(self, value, entries=None, view=None):
-        super().__init__(value, entries, view)
-        self._stumps = None
+    def __init__(self, value, side, start, end):
+        self.value = value
+        self.side = side
+        self.start = start
+        self.end = end
+        self._stumps = self._trees = None
 
     def count(self, avoid=None) -> int:
+        size = self.end - self.start
         if avoid is None:
-            return len(self.entries)
+            return size
         if self._stumps is None:
-            self._stumps = Counter(e.feature for e in self.entries
-                                   if type(e) is TreeEntry)
-        return len(self.entries) - self._stumps[avoid]
+            self._stumps = Counter(self.side.feats[self.start:self.end])
+        return size - self._stumps[avoid]
+
+    def leaf_entries(self):
+        side = self.side
+        return [side.leaf()] if self.start <= side.at < self.end else []
+
+    def iter_trees(self):
+        """Yield (tree, leaf alternatives or None), in list order."""
+        if self._trees is None:
+            self._trees = self.side.trees(self.start, self.end)
+        return iter(self._trees)
 
 
 def count_trees(group: SolutionGroup, avoid=None) -> int:
@@ -163,11 +157,8 @@ def count_trees(group: SolutionGroup, avoid=None) -> int:
         return total
     total = 0
     for entry in group.entries:
-        kind = type(entry)
-        if kind is LeafEntry:
+        if type(entry) is LeafEntry:
             total += 1
-        elif kind is TreeEntry:
-            total += entry.feature != avoid
         elif entry.feature != avoid:
             for pair in entry.pairs:
                 total += pair.count(avoid)

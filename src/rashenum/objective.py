@@ -81,9 +81,8 @@ def best_leaf(dataset, cell):
     return LeafSolution(max(ss - s * s / n, 0.0), dataset.label_mean + s / n)
 
 
-def leaf_cost(view, config=None) -> LeafSolution:
-    """The leaf kernel on a view's cell; ``config`` is not read (the task
-    is the dataset's)."""
+def leaf_cost(view) -> LeafSolution:
+    """The leaf kernel on a view's cell."""
     return best_leaf(view.dataset, view_cell(view))
 
 

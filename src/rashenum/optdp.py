@@ -12,6 +12,7 @@ bound; bounds live in the enumerator's search nodes.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,18 @@ from .objective import leaf_cost
 class OptResult:
     value: float
     tree: tuple
+
+
+def check_depth(depth):
+    """``depth`` as an ``int``; ``ValueError`` unless it is a whole number
+    (``operator.index`` takes numpy integers) and >= 0."""
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError(f"depth must be an integer, got {depth!r}") from None
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return depth
 
 
 class _PassResult(OptResult):
@@ -69,7 +82,7 @@ class OptimalSolver:
 
     def solve(self, view, depth) -> OptResult:
         """Optimal subtree value for (view, depth); value convention: no root lambda."""
-        key = fingerprint(view, depth)
+        key = fingerprint(view, check_depth(depth))
         res = self.cache.get(key)
         if res is not None:
             self.stats["cache_hits"] += 1

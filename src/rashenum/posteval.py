@@ -6,9 +6,12 @@ walks the emitted solution-group DAG bottom-up, deduplicating statistic
 tuples per group. A pair combines each distinct record of its left group
 with each of its right group's, never more steps than the pair has trees,
 so the cost follows the number of distinct statistics, not of trees, and no
-group is walked tree by tree. Includes the equality-of-opportunity
-statistic, a Pareto front, and a group-by-group constrained search for the
-most accurate tree meeting a secondary constraint.
+group is walked tree by tree; a depth-two side group, whose trees are its
+leaf and one-split subtrees, is read through ``iter_trees``. A pair's
+groups are evaluated on the two sides of its split. Includes the
+equality-of-opportunity statistic, a Pareto front, and a group-by-group
+constrained search for the most accurate tree meeting a secondary
+constraint.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .dataset import BinaryDataset, split
 from .engine import DEFAULT_EPSILON, RashomonEnumeration
-from .groups import LeafEntry, TreeEntry
+from .groups import LeafEntry, SideGroup
 from .objective import distinct_leaf_labels
 from .trees import num_leaves
 
@@ -56,8 +59,9 @@ def stat_of_tree(tree, view, spec: SecondaryObjectiveSpec):
                                    stat_of_tree(tree[3], right_view, spec)))
 
 
-def _group_records(group, spec, memo):
-    """Distinct (stat, witness, leaf_info) records for one solution group."""
+def _group_records(group, view, spec, memo):
+    """Distinct (stat, witness, leaf_info) records for one solution group
+    on its view; a pair's groups are on the two sides of its split."""
     key = id(group)
     hit = memo.get(key)
     if hit is not None:
@@ -67,29 +71,33 @@ def _group_records(group, spec, memo):
     def put(rec):
         records.setdefault((rec.stat, rec.leaf_info), rec)
 
-    for entry in group.entries:
-        if isinstance(entry, LeafEntry):
-            stat = tuple(spec.leaf_stat(group.view, entry.prediction))
-            put(_Record(stat, ("leaf", entry.prediction),
-                        (entry.prediction, entry.alternatives)))
-        elif isinstance(entry, TreeEntry):
-            put(_Record(stat_of_tree(entry.tree, group.view, spec), entry.tree))
-        else:
-            for pair in entry.pairs:
-                lrecs = _group_records(pair.left, spec, memo)
-                rrecs = _group_records(pair.right, spec, memo)
-                for lrec in lrecs:
-                    for rrec in rrecs:
-                        combined = _combine_pair(entry.feature, pair, lrec,
-                                                 rrec, spec)
-                        if combined is not None:
-                            put(combined)
+    if type(group) is SideGroup:    # leaves and one-split trees
+        for tree, alternatives in group.iter_trees():
+            leaf_info = (tree[1], alternatives) if tree[0] == "leaf" else None
+            put(_Record(stat_of_tree(tree, view, spec), tree, leaf_info))
+    else:
+        for entry in group.entries:
+            if isinstance(entry, LeafEntry):
+                stat = tuple(spec.leaf_stat(view, entry.prediction))
+                put(_Record(stat, ("leaf", entry.prediction),
+                            (entry.prediction, entry.alternatives)))
+            else:
+                views = split(view, entry.feature)
+                for pair in entry.pairs:
+                    lrecs = _group_records(pair.left, views[0], spec, memo)
+                    rrecs = _group_records(pair.right, views[1], spec, memo)
+                    for lrec in lrecs:
+                        for rrec in rrecs:
+                            combined = _combine_pair(entry.feature, pair, views,
+                                                     lrec, rrec, spec)
+                            if combined is not None:
+                                put(combined)
     out = tuple(records.values())
     memo[key] = out
     return out
 
 
-def _combine_pair(feature, pair, lrec, rrec, spec):
+def _combine_pair(feature, pair, views, lrec, rrec, spec):
     """Combine child records under one branch pair, honoring suppression."""
     lstat, lwit = lrec.stat, lrec.witness
     rstat, rwit = rrec.stat, rrec.witness
@@ -101,10 +109,10 @@ def _combine_pair(feature, pair, lrec, rrec, spec):
         lpred, rpred = labels
         if lpred != lrec.leaf_info[0]:
             lwit = ("leaf", lpred)
-            lstat = tuple(spec.leaf_stat(pair.left.view, lpred))
+            lstat = tuple(spec.leaf_stat(views[0], lpred))
         if rpred != rrec.leaf_info[0]:
             rwit = ("leaf", rpred)
-            rstat = tuple(spec.leaf_stat(pair.right.view, rpred))
+            rstat = tuple(spec.leaf_stat(views[1], rpred))
     return _Record(tuple(spec.combine_stat(lstat, rstat)),
                    ("split", feature, lwit, rwit))
 
@@ -117,7 +125,8 @@ def evaluate_secondary(groups, spec: SecondaryObjectiveSpec):
     memo = {}
     for emitted in groups:
         seen = set()
-        for rec in _group_records(emitted.group, spec, memo):
+        for rec in _group_records(emitted.group, emitted.group.view, spec,
+                                  memo):
             if rec.stat in seen:
                 continue
             seen.add(rec.stat)
@@ -236,7 +245,8 @@ def batched_constrained_search(dataset, depth, lam, spec, constraint,
     memo = {}
     considered = 0
     for emitted in enum.groups():
-        for rec in _group_records(emitted.group, spec, memo):
+        for rec in _group_records(emitted.group, emitted.group.view, spec,
+                                  memo):
             if constraint(spec.finalize(rec.stat)):
                 return ConstrainedSearchResult(
                     rec.witness, tuple(spec.finalize(rec.stat)),

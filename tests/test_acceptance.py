@@ -172,8 +172,11 @@ def test_criterion_05_counting(corpus_runs):
     ds = BinaryDataset.from_arrays(X, np.zeros(20, dtype=int))
     expect = oracle_structure_count(ds, 5)
     # the generic path: at lambda 0 with one label every stump ties the
-    # leaf, so each opened side's first group is its whole row, and the
-    # table path takes about three times as long here (ROADMAP item 1)
+    # leaf, so each of the 95 922 sides the table path opens is sorted in
+    # full and its first group is its whole row; the table path takes
+    # 9.5 s here against 5.3 s for the generic one (process CPU, one run
+    # each, on a 2-core host; 13.6 s against 4.3 s while side groups held
+    # one entry object per item), so it is still slower (ROADMAP item 1)
     enum = RashomonEnumeration(ds, 5, lam=0.0, epsilon=0.0, use_depth2=False)
     got = sum(em.count for em in enum.groups())
     if not (expect == got and expect > 2 ** 64):

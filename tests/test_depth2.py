@@ -9,7 +9,6 @@ from rashenum import (BinaryDataset, Engine, ObjectiveConfig, OptimalSolver,
                       generate_dataset, leaf_cost, materialize, split)
 from rashenum.depth2 import (compute_counts, depth2_optimal, generate_depth2,
                              split_counts, stacked_depth2)
-from rashenum.groups import LeafEntry
 from rashenum.objective import LeafSolution, best_leaf, view_cell
 from conftest import plain_numbers, random_dataset
 from corpus import strip_predictions
@@ -28,7 +27,7 @@ class TestCounts:
         """Every quad cell equals the class counts of the view it stands
         for, exactly, and the four cells partition the samples."""
         ds = random_dataset(seed, 20, 4, num_classes=3)
-        counts = compute_counts(ds.full_view(), ObjectiveConfig())
+        counts = compute_counts(ds.full_view())
         for i in range(ds.num_features):
             for j in range(ds.num_features):
                 cells = counts.quad(i, j)
@@ -43,7 +42,7 @@ class TestCounts:
     @pytest.mark.parametrize("seed", range(5))
     def test_side_counts_match_direct_split(self, seed):
         ds = random_dataset(seed + 50, 24, 4)
-        counts = compute_counts(ds.full_view(), ObjectiveConfig())
+        counts = compute_counts(ds.full_view())
         assert counts.total().tolist() == view_cell(ds.full_view()).tolist()
         for f in range(ds.num_features):
             for satisfied, view in zip((False, True),
@@ -72,7 +71,7 @@ class TestCounts:
 
     def test_regression_cells(self):
         ds = random_dataset(11, 18, 3, task="regression")
-        counts = compute_counts(ds.full_view(), ObjectiveConfig("regression"))
+        counts = compute_counts(ds.full_view())
         for f in range(ds.num_features):
             for satisfied, view in zip((False, True),
                                        split(ds.full_view(), f)):
@@ -90,7 +89,7 @@ class TestOptimal:
     def test_matches_brute_force(self, seed, depth):
         ds = random_dataset(seed + 100, 16, 4)
         cfg = ObjectiveConfig(lam=0.02)
-        counts = compute_counts(ds.full_view(), cfg)
+        counts = compute_counts(ds.full_view())
         value, tree = depth2_optimal(counts, cfg, depth,
                                      range(ds.num_features))
         assert value == pytest.approx(brute_best(ds, depth, 0.02), abs=1e-12)
@@ -102,7 +101,7 @@ class TestOptimal:
         feature 1 exists, yet root 0's 3-split tree comes first."""
         ds = random_dataset(33, 14, 3)
         cfg = ObjectiveConfig(lam=0.0)
-        value, tree = depth2_optimal(compute_counts(ds.full_view(), cfg), cfg,
+        value, tree = depth2_optimal(compute_counts(ds.full_view()), cfg,
                                      2, range(ds.num_features))
         assert value == pytest.approx(4 / 14, abs=1e-12)
         assert tree == ("split", 0, ("split", 2, ("leaf", 0), ("leaf", 1)),
@@ -115,7 +114,7 @@ class TestOptimal:
     def test_regression_optimal(self):
         ds = random_dataset(7, 14, 3, task="regression")
         cfg = ObjectiveConfig("regression", lam=0.1)
-        counts = compute_counts(ds.full_view(), cfg)
+        counts = compute_counts(ds.full_view())
         value, _ = depth2_optimal(counts, cfg, 2, range(ds.num_features))
         assert value == pytest.approx(brute_best(ds, 2, 0.1), abs=1e-8)
 
@@ -165,27 +164,29 @@ def scalar_item(item):
     return exact(value), exact(feature), exact(left), exact(right), None
 
 
-def table_item(value, entry):
-    """The same row for an opened table item and its group entry."""
-    if isinstance(entry, LeafEntry):
-        return (exact(value), None, exact(entry.prediction), None,
-                entry.alternatives)
-    return (exact(value), exact(entry.feature), exact(entry.left),
-            exact(entry.right), None)
+def table_item(value, tree, alternatives):
+    """The same row for an opened table item: its value and its tree."""
+    if tree[0] == "leaf":
+        return (exact(value), None, exact(tree[1]), None, alternatives)
+    _, feature, (_, left), (_, right) = tree
+    return exact(value), exact(feature), exact(left), exact(right), None
 
 
 def table_side_lists(counts, config, depth, features, suppress):
-    """``generate_depth2``'s side lists opened in full: (feature, (left
-    optimum, rows), (right optimum, rows)) per root."""
+    """``generate_depth2``'s side lists read in full, group by group:
+    (feature, (left optimum, rows), (right optimum, rows)) per root."""
     out = []
     for f, *sides in generate_depth2(counts, config, depth, features,
                                      suppress):
         opened = []
         for side in sides:
-            values, make = side.open()
+            side.open()
+            trees, n = [], 0
+            while (group := side.get_nth(n)) is not None:
+                trees += group.iter_trees()
+                n += 1
             opened.append((exact(side.value), [
-                table_item(v, e)
-                for v, e in zip(values, make(0, len(values)))]))
+                table_item(v, *item) for v, item in zip(side.values, trees)]))
         out.append((exact(f), *opened))
     return out
 

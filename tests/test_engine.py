@@ -1,16 +1,18 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rashenum import (BinaryDataset, BranchEntry, RashomonEnumeration,
-                      TreeEntry, count_trees, enumerate_rashomon,
+                      count_trees, enumerate_rashomon,
                       evaluate_cost, features_used, generate_dataset,
-                      materialize, num_leaves, ObjectiveConfig)
+                      materialize, num_leaves, ObjectiveConfig, OptimalSolver)
 from rashenum import engine as engine_module
 from rashenum.engine import BranchHelper
+from rashenum.groups import SideGroup
 from rashenum.objective import DEFAULT_TOLERANCE, value_le
 from conftest import plain_numbers, random_dataset
 from corpus import canonical, strip_predictions
@@ -121,13 +123,21 @@ class TestEnumerationApi:
             RashomonEnumeration(ds, 2, **{"lam": 0.01, **kwargs})
 
     def test_negative_depth_rejected(self, tiny_dataset):
-        for depth in (-1, 2.5):
-            with pytest.raises(ValueError):
+        """The enumerator and the solver reject a negative or fractional
+        depth with one message each; a numpy integer passes."""
+        solver = OptimalSolver(tiny_dataset, ObjectiveConfig())
+        view = tiny_dataset.full_view()
+        for depth, message in ((-1, "depth must be >= 0"),
+                               (2.5, "depth must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 RashomonEnumeration(tiny_dataset, depth, lam=0.01,
                                     epsilon=0.1)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solver.solve(view, depth)
         enum = RashomonEnumeration(tiny_dataset, np.int64(2), lam=0.01,
                                    epsilon=0.1)
         assert enum.depth == 2
+        assert solver.solve(view, np.int64(2)) == solver.solve(view, 2)
 
     def test_bad_excluded_feature(self, tiny_dataset):
         with pytest.raises(IndexError):
@@ -245,7 +255,8 @@ class TestEngineEquivalences:
 
 
 def held_groups(engine):
-    """Every solution group reachable from the engine's cached nodes."""
+    """Every solution group reachable from the engine's cached nodes, side
+    groups included (they hold no entries)."""
     seen = set()
     stack = [g for node in engine.node_cache.values() for g in node.ssl]
     while stack:
@@ -254,7 +265,7 @@ def held_groups(engine):
             continue
         seen.add(id(group))
         yield group
-        for entry in group.entries:
+        for entry in getattr(group, "entries", ()):
             if isinstance(entry, BranchEntry):
                 for pair in entry.pairs:
                     stack += [pair.left, pair.right]
@@ -265,7 +276,7 @@ class TestDepthTwoNodes:
     def test_side_lists_read_once_and_merged(self, monkeypatch, depth):
         """A depth <= 2 node reads its side lists off the count table once
         and merges them lazily: no node calls generate_depth2 twice, and no
-        held TreeEntry has more than one split."""
+        held side group holds a tree with more than one split."""
         calls = []
         original = engine_module.generate_depth2
 
@@ -278,9 +289,9 @@ class TestDepthTwoNodes:
                                    lam=0.01, max_trees=3000)
         assert list(enum.groups())
         assert calls and len(calls) == len(set(calls))
-        splits = [num_leaves(entry.tree) - 1
-                  for group in held_groups(enum.engine)
-                  for entry in group.entries if isinstance(entry, TreeEntry)]
+        splits = [num_leaves(tree) - 1 for group in held_groups(enum.engine)
+                  if isinstance(group, SideGroup)
+                  for tree, _ in group.iter_trees()]
         assert splits and max(splits) == 1
 
     @pytest.mark.parametrize("depth", [2, 3])
@@ -304,17 +315,36 @@ class TestDepthTwoNodes:
         """Every tree materialised from a table node's side groups holds
         int features and int/float predictions, never numpy scalars, and
         ``count_trees(group, avoid)`` leaves out exactly the stumps on
-        ``avoid``."""
+        ``avoid``. A side group yields the same trees each time it is
+        read; under suppression every stump in it, relabelled ones
+        included, keeps two distinct leaf labels."""
         ds = generate_dataset(150, 6, 4, task=task, num_classes=3
                               if task == "classification" else 2)
         enum = RashomonEnumeration(ds, 3, lam=0.01, max_trees=2000,
                                    suppress_trivial=suppress)
         assert list(enum.groups())
-        sides = [g for node in enum.engine.node_cache.values()
-                 if node.depth <= 2 for h in node._branches or ()
-                 for child in (h.left_node, h.right_node)
-                 if child is not None for g in child.ssl]
-        assert any(isinstance(e, TreeEntry) for g in sides for e in g.entries)
+        children = [child for node in enum.engine.node_cache.values()
+                    if node.depth <= 2 for h in node._branches or ()
+                    for child in (h.left_node, h.right_node)
+                    if child is not None]
+        sides = [child.get_nth(i) for child in children
+                 for i in range(len(child.ssl))]
+        assert any(tree[0] == "split" for g in sides
+                   for tree, _ in g.iter_trees())
+        for group in sides:
+            trees = list(group.iter_trees())
+            assert list(group.iter_trees()) == trees
+            if suppress:
+                assert all(tree[2] != tree[3] for tree, _ in trees
+                           if tree[0] == "split")
+        if suppress and task == "classification":
+            relabelled = [tree for child in children for group in child.ssl
+                          for p, (tree, _) in enumerate(group.iter_trees(),
+                                                        group.start)
+                          if p != child.at
+                          and child.lefts[p] == child.rights[p]]
+            assert relabelled
+            assert all(tree[2] != tree[3] for tree in relabelled)
         for group in [*sides, *held_groups(enum.engine)]:
             trees = list(materialize(group))
             assert all(plain_numbers(t) for t in trees)

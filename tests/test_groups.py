@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rashenum import (BranchEntry, LeafEntry, Pair, RashomonEnumeration,
-                      SolutionGroup, TreeEntry, count_trees, features_used,
+                      SolutionGroup, count_trees, features_used,
                       generate_dataset, materialize)
 
 
@@ -10,9 +10,15 @@ def group_of(*entries, value=0.0):
     return SolutionGroup(value, list(entries))
 
 
+def stump(feature, left, right):
+    """A one-split subtree: a branch entry over two one-leaf groups."""
+    return BranchEntry(feature, [Pair(group_of(LeafEntry(left)),
+                                      group_of(LeafEntry(right)))])
+
+
 class TestCounting:
     def test_leaf_and_tree_entries_count_one_each(self):
-        g = group_of(LeafEntry(0), TreeEntry(0, 0, 1))
+        g = group_of(LeafEntry(0), stump(0, 0, 1))
         assert count_trees(g) == 2
 
     def test_branch_entry_counts_products(self):
@@ -22,7 +28,7 @@ class TestCounting:
         assert count_trees(g) == 6
 
     def test_count_matches_materialization(self):
-        left = group_of(LeafEntry(0), TreeEntry(1, 0, 1))
+        left = group_of(LeafEntry(0), stump(1, 0, 1))
         right = group_of(LeafEntry(1), LeafEntry(0))
         g = group_of(LeafEntry(2), BranchEntry(0, [Pair(left, right)]))
         trees = list(materialize(g))
@@ -94,7 +100,7 @@ class TestAvoidedFeatureCount:
     def test_branch_on_avoided_feature_counts_zero(self):
         child = group_of(LeafEntry(0), LeafEntry(1))
         g = group_of(LeafEntry(0), BranchEntry(2, [Pair(child, child)]),
-                     TreeEntry(1, 0, 1))
+                     stump(1, 0, 1))
         assert [count_trees(g, f) for f in (None, 1, 2, 3)] == [6, 5, 2, 6]
 
     @settings(max_examples=40, deadline=None)

@@ -28,27 +28,25 @@ class TestConfig:
 
 class TestLeafCost:
     def test_majority_leaf(self, tiny_dataset):
-        cfg = ObjectiveConfig()
-        sol = leaf_cost(tiny_dataset.full_view(), cfg)
+        sol = leaf_cost(tiny_dataset.full_view())
         assert sol.prediction == 1
         assert sol.value == pytest.approx(2 / 5)
 
     def test_tie_picks_lowest_label_with_alternatives(self):
         from rashenum import parse_dataset
         ds = parse_dataset("0 0\n1 1\n0 1\n1 0\n")
-        sol = leaf_cost(ds.full_view(), ObjectiveConfig())
+        sol = leaf_cost(ds.full_view())
         assert sol.prediction == 0
         assert sol.alternatives == (1,)
 
     def test_pure_view_costs_zero(self, pure_dataset):
-        sol = leaf_cost(pure_dataset.full_view(), ObjectiveConfig())
+        sol = leaf_cost(pure_dataset.full_view())
         assert sol.value == 0.0
         assert sol.prediction == 1
 
     def test_misclassifications_normalized_by_full_dataset(self, tiny_dataset):
-        cfg = ObjectiveConfig()
         left, right = split(tiny_dataset.full_view(), 0)
-        total_mis = (leaf_cost(left, cfg).value + leaf_cost(right, cfg).value)
+        total_mis = (leaf_cost(left).value + leaf_cost(right).value)
         # both sides share the full-dataset denominator, so sums are coherent
         assert total_mis * tiny_dataset.num_samples == pytest.approx(round(
             total_mis * tiny_dataset.num_samples))
@@ -56,7 +54,7 @@ class TestLeafCost:
     def test_regression_sse_around_mean(self):
         from rashenum import parse_dataset
         ds = parse_dataset("1.0 0\n3.0 1\n", task="regression")
-        sol = leaf_cost(ds.full_view(), ObjectiveConfig("regression"))
+        sol = leaf_cost(ds.full_view())
         assert sol.value == pytest.approx(2.0)  # (1-2)^2 + (3-2)^2
         assert sol.prediction == pytest.approx(2.0)
 
